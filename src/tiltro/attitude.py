@@ -253,9 +253,9 @@ class AttitudeTrack:
         if len(self) == 1:
             return np.repeat(self._quats, ts.shape[0], axis=0)
         lo = hi - 1
-        t0 = self._t[lo].astype(float)
-        t1 = self._t[hi].astype(float)
-        frac = (clamped.astype(float) - t0) / (t1 - t0)
+        # Subtract in int64 first: float64 resolves only 256 ns at epoch scale.
+        t0 = self._t[lo]
+        frac = (clamped - t0).astype(float) / (self._t[hi] - t0).astype(float)
         frac = np.clip(frac, 0.0, 1.0)
         return slerp_array(self._quats[lo], self._quats[hi], frac)
 

@@ -47,8 +47,10 @@ class Trajectory:
     def resample(self, ts: np.ndarray) -> "Trajectory":
         """Linear interpolation onto new timestamps (yaw unwrapped first)."""
         ts = np.asarray(ts, dtype=np.int64)
-        tf = self.t.astype(float)
-        qf = ts.astype(float)
+        # Times relative to the first sample, subtracted in int64: float64
+        # resolves only 256 ns at epoch scale.
+        tf = (self.t - self.t[0]).astype(float)
+        qf = (ts - self.t[0]).astype(float)
         x = np.interp(qf, tf, self.x)
         y = np.interp(qf, tf, self.y)
         yaw_cont = np.unwrap(self.yaw)
@@ -160,9 +162,12 @@ def endpoint_error(est: Trajectory, gt: Trajectory) -> float:
     hi = min(est.t[-1], gt.t[-1])
     if hi <= lo:
         raise TrajectoryTooShort("trajectories do not overlap in time")
-    tf = float(hi)
-    ex = np.interp(tf, est.t.astype(float), est.x)
-    ey = np.interp(tf, est.t.astype(float), est.y)
-    gx = np.interp(tf, gt.t.astype(float), gt.x)
-    gy = np.interp(tf, gt.t.astype(float), gt.y)
+    # Times relative to ``lo``, subtracted in int64 (see Trajectory.resample).
+    tf = float(hi - lo)
+    est_t = (est.t - lo).astype(float)
+    gt_t = (gt.t - lo).astype(float)
+    ex = np.interp(tf, est_t, est.x)
+    ey = np.interp(tf, est_t, est.y)
+    gx = np.interp(tf, gt_t, gt.x)
+    gy = np.interp(tf, gt_t, gt.y)
     return float(math.hypot(ex - gx, ey - gy))

@@ -176,20 +176,22 @@ def k_strongest(
     centers = (np.arange(n_r) + 0.5) * dr
     in_range = (centers >= r_min) & (centers <= r_max)
 
-    # Composite sort key: descending intensity, then ascending bin index.
-    key = scan.intensity.astype(np.int64) * n_r + (n_r - 1 - np.arange(n_r))
-    key = np.where(in_range[None, :] & (scan.intensity > tau_raw), key, -1)
+    # Composite sort key, unique within a row: descending intensity, then
+    # ascending bin index; -1 marks bins that fail the gate.  It is built
+    # and partitioned in place to keep one grid-sized temporary per scan:
+    # with several, glibc trimmed and re-faulted the heap top on every scan.
+    key = scan.intensity.astype(np.int64)
+    key *= n_r
+    key += n_r - 1 - np.arange(n_r)
+    key[~(in_range[None, :] & (scan.intensity > tau_raw))] = -1
 
     kk = min(k, n_r)
-    top = np.argpartition(key, n_r - kk, axis=1)[:, n_r - kk:]
-    top_keys = np.take_along_axis(key, top, axis=1)
-    order = np.argsort(-top_keys, axis=1, kind="stable")
-    top = np.take_along_axis(top, order, axis=1)
-    top_keys = np.take_along_axis(top_keys, order, axis=1)
+    key.partition(n_r - kk, axis=1)
+    top_keys = np.sort(key[:, n_r - kk:], axis=1)[:, ::-1]
 
     valid = top_keys >= 0
     rows = np.repeat(np.arange(n_a), kk)[valid.ravel()]
-    bins = top.ravel()[valid.ravel()]
+    bins = n_r - 1 - top_keys[valid] % n_r
     if rows.size == 0:
         return PointCloud.empty("raw", scan.t_start)
 

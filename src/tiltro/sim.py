@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -265,9 +268,11 @@ class GroundTruth:
         clamped = np.clip(ts, self.t[0], self.t[-1])
         hi = np.clip(np.searchsorted(self.t, clamped, side="left"), 1, len(self.t) - 1)
         lo = hi - 1
-        t0 = self.t[lo].astype(float)
-        t1 = self.t[hi].astype(float)
-        frac = np.clip((clamped.astype(float) - t0) / (t1 - t0), 0.0, 1.0)
+        # Subtract in int64 first: float64 resolves only 256 ns at epoch scale.
+        t0 = self.t[lo]
+        frac = np.clip(
+            (clamped - t0).astype(float) / (self.t[hi] - t0).astype(float), 0.0, 1.0
+        )
         pos = self.pos[lo] + (self.pos[hi] - self.pos[lo]) * frac[:, None]
         quats = slerp_array(self.quats[lo], self.quats[hi], frac)
         return pos, quats
@@ -380,6 +385,32 @@ def _deposit(signal: np.ndarray, az_idx: np.ndarray, centers: np.ndarray,
     np.add.at(signal, (rows, bins[ok]), values[ok])
 
 
+def _pole_candidates(pos: np.ndarray, ray_bearing: np.ndarray,
+                     poles_xy: np.ndarray,
+                     half_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (azimuth, pole) index pairs that may pass the bearing test.
+
+    Seen from a pole at range r from the scan's mean sensor position, every
+    azimuth's sensor position (at most ``reach`` from that mean) lies within
+    asin(reach / r) of the pole's bearing from the mean.  So a ray can point
+    at the pole within half a step only when its bearing is within that plus
+    half a step of the mean bearing; 1e-6 rad absorbs rounding.  Poles within
+    reach + 0.2 m of the mean keep every azimuth.
+    """
+    mean = pos[:, :2].mean(axis=0)
+    reach = np.max(np.hypot(pos[:, 0] - mean[0], pos[:, 1] - mean[1]))
+    rel = poles_xy - mean
+    r = np.hypot(rel[:, 0], rel[:, 1])
+    centre = np.arctan2(rel[:, 1], rel[:, 0])
+    width = np.full(r.shape, np.inf)
+    far = r > reach + 0.2
+    width[far] = np.arcsin(reach / r[far]) + half_step + 1e-6
+    # Both bearings come from arctan2, so their circular distance is
+    # min(off, 2 pi - off).
+    off = np.abs(ray_bearing[:, None] - centre[None, :])
+    return np.nonzero((off <= width) | (off >= 2.0 * math.pi - width))
+
+
 def render_scan(scenario: Scenario, gt: GroundTruth, t_start: int) -> PolarScan:
     """Render one full rotation starting at ``t_start`` (ns).
 
@@ -416,24 +447,23 @@ def render_scan(scenario: Scenario, gt: GroundTruth, t_start: int) -> PolarScan:
     if scenario.poles:
         p = np.array([[q.x, q.y, q.base_z, q.height, q.reflectivity]
                       for q in scenario.poles])
-        dx = p[None, :, 0] - pos[:, None, 0]
-        dy = p[None, :, 1] - pos[:, None, 1]
+        rows, cols = _pole_candidates(pos, ray_bearing, p[:, :2], half_step)
+        dx = p[cols, 0] - pos[rows, 0]
+        dy = p[cols, 1] - pos[rows, 1]
         rh = np.hypot(dx, dy)
         bearing = np.arctan2(dy, dx)
-        hit = np.abs(wrap_angle_array(bearing - ray_bearing[:, None])) <= half_step
+        hit = np.abs(wrap_angle_array(bearing - ray_bearing[rows])) <= half_step
         hit &= rh > 0.1
-        el_bot = np.arctan2(p[None, :, 2] - pos[:, None, 2], np.maximum(rh, 0.1))
+        el_bot = np.arctan2(p[cols, 2] - pos[rows, 2], np.maximum(rh, 0.1))
         el_top = np.arctan2(
-            p[None, :, 2] + p[None, :, 3] - pos[:, None, 2], np.maximum(rh, 0.1)
+            p[cols, 2] + p[cols, 3] - pos[rows, 2], np.maximum(rh, 0.1)
         )
-        hit &= (ray_elev[:, None] - e_half <= el_top) & (
-            ray_elev[:, None] + e_half >= el_bot
-        )
-        slant = rh / np.maximum(np.cos(ray_elev)[:, None], 1e-6)
+        hit &= (ray_elev[rows] - e_half <= el_top) & (ray_elev[rows] + e_half >= el_bot)
+        slant = rh / np.maximum(np.cos(ray_elev)[rows], 1e-6)
         hit &= slant < max_range + 1.0
-        rows, cols = np.nonzero(hit)
-        amps = np.minimum(p[cols, 4] * radar.reference_range / slant[rows, cols], 255.0)
-        centers = slant[rows, cols] / radar.range_resolution - 0.5
+        rows, cols, slant = rows[hit], cols[hit], slant[hit]
+        amps = np.minimum(p[cols, 4] * radar.reference_range / slant, 255.0)
+        centers = slant / radar.range_resolution - 0.5
         _deposit(signal, rows, centers, amps)
 
     for wall in scenario.walls:
@@ -477,10 +507,12 @@ def render_scan(scenario: Scenario, gt: GroundTruth, t_start: int) -> PolarScan:
         _deposit(signal, rows, centers, amps)
 
     rng = _stream(scenario.seed, _NOISE_STREAM_BASE + scan_index)
-    noise = rng.normal(radar.noise_floor_mean, max(radar.noise_floor_sigma, 0.0),
-                       (n_a, n_r))
-    grid = np.clip(np.rint(signal + noise), 0, 255).astype(np.uint8)
-    return PolarScan(azimuths, t_az, grid, radar.range_resolution)
+    grid = rng.normal(radar.noise_floor_mean, max(radar.noise_floor_sigma, 0.0),
+                      (n_a, n_r))
+    grid += signal
+    np.rint(grid, out=grid)
+    np.clip(grid, 0, 255, out=grid)
+    return PolarScan(azimuths, t_az, grid.astype(np.uint8), radar.range_resolution)
 
 
 def synthesize_imu(scenario: Scenario, gt: GroundTruth) -> list[ImuSample]:
@@ -557,6 +589,14 @@ class SimResult:
     truth: GroundTruth
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def simulate(scenario: Scenario, duration: float | None = None) -> SimResult:
     """Run a scenario end to end: truth, IMU stream, and all radar scans.
 
@@ -566,13 +606,19 @@ def simulate(scenario: Scenario, duration: float | None = None) -> SimResult:
     """
     gt = generate_ground_truth(scenario, duration)
     imu = synthesize_imu(scenario, gt)
-    t_last = imu[-1].t
     period = scenario.radar.period_ns
-    scans = []
-    t0 = gt.t_start
-    while t0 + period <= t_last:
-        scans.append(render_scan(scenario, gt, t0))
-        t0 += period
+    starts = range(gt.t_start, imu[-1].t - period + 1, period)
+    # Each scan draws only from its own RNG streams, and numpy releases the
+    # GIL in the noise fill and the large ufuncs, so scans render in parallel
+    # and come out identical for any worker count.  The scans are copied on
+    # this thread: glibc gives each worker thread its own heap, and scans
+    # left there would keep the workers' freed scratch from being reused.
+    with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
+        scans = [
+            PolarScan(s.azimuths.copy(), s.azimuth_timestamps.copy(),
+                      s.intensity.copy(), s.range_resolution)
+            for s in pool.map(render_scan, repeat(scenario), repeat(gt), starts)
+        ]
     gt_t = np.array([s.t for s in imu], dtype=np.int64)
     gt_pos, gt_quats = gt.sample(gt_t)
     return SimResult(scans, imu, gt_t, gt_pos, gt_quats, gt)

@@ -9,6 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from tiltro import PointCloud, PolarScan
+from tiltro.geometry import quat_array_to_matrices, wrap_angle_array
+from tiltro.sim import _deposit
 
 
 def random_scan(
@@ -58,3 +60,47 @@ def brute_force_k_strongest(scan: PolarScan, k, r_min, r_max, tau_raw):
         candidates.sort()
         out.extend((row, b) for _, b in candidates[:k])
     return out
+
+
+def all_pairs_pole_scan(scenario, gt, t_start: int) -> np.ndarray:
+    """Reference pole rendering: the hit test over every (azimuth, pole)
+    pair, without any candidate pre-filter.  Returns the quantized grid of a
+    scan whose world holds only poles and whose radar has no noise floor."""
+    radar = scenario.radar
+    n_a, n_r = radar.azimuth_count, radar.range_bin_count
+    az_idx = np.arange(n_a)
+    azimuths = az_idx * (2.0 * np.pi / n_a)
+    t_az = t_start + (az_idx.astype(np.int64) * radar.period_ns) // n_a
+    pos, quats = gt.sample(t_az)
+    rot = quat_array_to_matrices(quats)
+    d_body = np.column_stack([np.cos(azimuths), np.sin(azimuths), np.zeros(n_a)])
+    u = np.einsum("nij,nj->ni", rot, d_body)
+    ray_bearing = np.arctan2(u[:, 1], u[:, 0])
+    ray_elev = np.arctan2(u[:, 2], np.maximum(np.hypot(u[:, 0], u[:, 1]), 1e-9))
+    half_step = np.pi / n_a
+    e_half = np.radians(radar.elevation_half_width_deg)
+    max_range = n_r * radar.range_resolution
+
+    p = np.array([[q.x, q.y, q.base_z, q.height, q.reflectivity]
+                  for q in scenario.poles])
+    dx = p[None, :, 0] - pos[:, None, 0]
+    dy = p[None, :, 1] - pos[:, None, 1]
+    rh = np.hypot(dx, dy)
+    bearing = np.arctan2(dy, dx)
+    hit = np.abs(wrap_angle_array(bearing - ray_bearing[:, None])) <= half_step
+    hit &= rh > 0.1
+    el_bot = np.arctan2(p[None, :, 2] - pos[:, None, 2], np.maximum(rh, 0.1))
+    el_top = np.arctan2(
+        p[None, :, 2] + p[None, :, 3] - pos[:, None, 2], np.maximum(rh, 0.1)
+    )
+    hit &= (ray_elev[:, None] - e_half <= el_top) & (
+        ray_elev[:, None] + e_half >= el_bot
+    )
+    slant = rh / np.maximum(np.cos(ray_elev)[:, None], 1e-6)
+    hit &= slant < max_range + 1.0
+    rows, cols = np.nonzero(hit)
+    amps = np.minimum(p[cols, 4] * radar.reference_range / slant[rows, cols], 255.0)
+    centers = slant[rows, cols] / radar.range_resolution - 0.5
+    signal = np.zeros((n_a, n_r))
+    _deposit(signal, rows, centers, amps)
+    return np.clip(np.rint(signal), 0, 255).astype(np.uint8)

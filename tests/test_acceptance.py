@@ -49,19 +49,26 @@ from helpers import brute_force_k_strongest, random_cloud, random_scan
 # CLI chain plumbing shared by the closed-loop criteria.
 
 
-def _chain(root: Path, scenario: Scenario, run_args=(), segment=100.0,
-           diagnostics=False):
-    """simulate -> run -> eval under ``root``; returns the key file paths."""
+def _simulate(root: Path, scenario: Scenario) -> Path:
+    """simulate under ``root``; returns the dataset directory."""
     root.mkdir(parents=True, exist_ok=True)
     scen = root / "scenario.json"
     scen.write_text(scenario.to_json(), encoding="utf-8")
+    ds = root / "ds"
+    assert main(["simulate", "--scenario", str(scen), "--out", str(ds)]) == 0
+    return ds
+
+
+def _run_eval(root: Path, ds: Path, run_args=(), segment=100.0,
+              diagnostics=False):
+    """run -> eval on the dataset ``ds`` under ``root``; returns the key
+    file paths."""
+    root.mkdir(parents=True, exist_ok=True)
     cfg = root / "config.txt"
     cfg.write_text("", encoding="utf-8")  # empty config: stock defaults
-    ds = root / "ds"
     traj = root / "traj.csv"
     rte = root / "rte.csv"
     diag = root / "diag.csv"
-    assert main(["simulate", "--scenario", str(scen), "--out", str(ds)]) == 0
     run_cmd = ["run", "--dataset", str(ds), "--config", str(cfg),
                "--out", str(traj)] + list(run_args)
     if diagnostics:
@@ -70,6 +77,12 @@ def _chain(root: Path, scenario: Scenario, run_args=(), segment=100.0,
     assert main(["eval", "--est", str(traj), "--gt", str(ds / "ground_truth.csv"),
                  "--segment", str(segment), "--out", str(rte)]) == 0
     return {"ds": ds, "traj": traj, "rte": rte, "diag": diag}
+
+
+def _chain(root: Path, scenario: Scenario, run_args=(), segment=100.0,
+           diagnostics=False):
+    """simulate -> run -> eval under ``root``; returns the key file paths."""
+    return _run_eval(root, _simulate(root, scenario), run_args, segment, diagnostics)
 
 
 @pytest.fixture(scope="module")
@@ -237,10 +250,12 @@ def test_criterion_6_tilt_ablation_over_seeds(tmp_path, capsys):
         assert np.degrees(np.abs(pitch)).max() <= 30.0 + 1e-6
         assert np.degrees(np.abs(pitch)).max() >= 25.0
 
+        # One dataset per seed; the gated and ungated runs both read it.
         root = tmp_path / f"seed{seed}"
-        on = _chain(root / "gated", sc)
-        off = _chain(root / "ungated", sc,
-                     run_args=["--no-tilt-gate", "--no-tilt-search"])
+        ds = _simulate(root, sc)
+        on = _run_eval(root / "gated", ds)
+        off = _run_eval(root / "ungated", ds,
+                        run_args=["--no-tilt-gate", "--no-tilt-search"])
         gated.append(read_rte_csv(on["rte"])[3])
         ungated.append(read_rte_csv(off["rte"])[3])
 

@@ -221,3 +221,21 @@ def test_track_query_interpolates_and_guards_extrapolation():
     assert track.attitude_at(-1_000_000).approx_eq(q0, tol=1e-9)
     with pytest.raises(ExtrapolationTooFar):
         track.attitude_at(5_000_000_000)
+
+
+def test_track_query_is_independent_of_the_time_origin():
+    # At a Unix-epoch offset float64 resolves only 256 ns, so the query must
+    # subtract in int64 before it converts.
+    offset = 1_760_000_000_000_000_000
+    rng = np.random.default_rng(7)
+    t = np.cumsum(rng.integers(4_000_000, 6_000_000, 200)).astype(np.int64)
+    quats = np.array([
+        UnitQuat.from_rpy(
+            0.3 * math.sin(k / 9.0), 0.2 * math.cos(k / 7.0), k / 30.0
+        ).as_array()
+        for k in range(t.shape[0])
+    ])
+    ts = rng.integers(t[0], t[-1], 1000)
+    local = AttitudeTrack(t, quats).attitudes_at(ts)
+    epoch = AttitudeTrack(t + offset, quats).attitudes_at(ts + offset)
+    np.testing.assert_array_equal(epoch, local)

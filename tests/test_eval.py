@@ -188,3 +188,30 @@ def test_trajectory_validation():
     gt = _traj(np.arange(10.0))
     with pytest.raises(ValueError):
         relative_translation_error(gt, gt, segment_length=0.0)
+
+
+def test_metrics_are_independent_of_the_time_origin():
+    # At a Unix-epoch offset float64 resolves only 256 ns, so interpolation
+    # must subtract in int64 before it converts.
+    offset = 1_760_000_000_000_000_000
+    gt = _curvy()
+    wobble = 0.3 * np.sin(gt.x / 12.0)
+    est = Trajectory(gt.t[::3] + 33_333_333, gt.x[::3] * 1.01,
+                     gt.y[::3] + wobble[::3], gt.yaw[::3])
+
+    def shifted(tr):
+        return Trajectory(tr.t + offset, tr.x, tr.y, tr.yaw)
+
+    ts = gt.t[5:-5] + 12_345
+    local = est.resample(ts)
+    epoch = shifted(est).resample(ts + offset)
+    for name in ("x", "y", "yaw"):
+        np.testing.assert_array_equal(getattr(epoch, name), getattr(local, name))
+    assert endpoint_error(shifted(est), shifted(gt)) == endpoint_error(est, gt)
+    rep = relative_translation_error(est, gt, segment_length=20.0)
+    rep_epoch = relative_translation_error(shifted(est), shifted(gt),
+                                           segment_length=20.0)
+    np.testing.assert_array_equal(rep_epoch.start_t, rep.start_t + offset)
+    np.testing.assert_array_equal(rep_epoch.errors_pct, rep.errors_pct)
+    np.testing.assert_array_equal(rep_epoch.rot_errors_deg_per_100m,
+                                  rep.rot_errors_deg_per_100m)

@@ -1,14 +1,17 @@
 """Tests for the deterministic scenario simulator (truth, radar, IMU)."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import tiltro.sim
 from tiltro.attitude import run_filter
 from tiltro.errors import InvalidScenario
 from tiltro.geometry import quat_array_to_rpy
 from tiltro.sim import (
+    GroundTruth,
     ImuModel,
     PathSegment,
     Pole,
@@ -22,6 +25,8 @@ from tiltro.sim import (
     synthesize_imu,
     tilt_step_course,
 )
+
+from helpers import all_pairs_pole_scan
 
 _DEG = math.radians(1.0)
 
@@ -95,6 +100,19 @@ def test_ditch_profile_meets_per_scan_pitch_envelope():
     dpitch = np.abs(pitch[step:] - pitch[:-step])
     assert math.degrees(dpitch.max()) >= 13.0
     assert math.degrees(np.abs(pitch).max()) == pytest.approx(30.0, abs=0.5)
+
+
+def test_ground_truth_sample_is_independent_of_the_time_origin():
+    # At a Unix-epoch offset float64 resolves only 256 ns, so the query must
+    # subtract in int64 before it converts.
+    offset = 1_760_000_000_000_000_000
+    gt = generate_ground_truth(_tilting_course(length=20.0))
+    epoch = GroundTruth(gt.t + offset, gt.pos, gt.quats)
+    ts = np.random.default_rng(3).integers(gt.t_start, gt.t_end, 2000)
+    pos, quats = gt.sample(ts)
+    pos_e, quats_e = epoch.sample(ts + offset)
+    np.testing.assert_array_equal(pos_e, pos)
+    np.testing.assert_array_equal(quats_e, quats)
 
 
 def test_render_pole_peak_lands_in_true_range_bin():
@@ -176,6 +194,116 @@ def test_simulate_is_bit_reproducible():
         assert ia.t == ib.t
         np.testing.assert_array_equal(ia.omega, ib.omega)
         np.testing.assert_array_equal(ia.accel, ib.accel)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 7])
+def test_simulate_matches_sequential_render_loop(workers, monkeypatch):
+    # Parallel rendering must not change a byte for any worker count, also
+    # with more workers than cores and frequent thread switches: the
+    # reference is one render_scan call per rotation period, in order, on
+    # this thread.
+    monkeypatch.setattr(tiltro.sim, "_usable_cpus", lambda: workers)
+    sc = Scenario(
+        seed=23,
+        segments=(
+            PathSegment("dwell", duration=0.5),
+            PathSegment("straight", speed=2.0, length=8.0),
+        ),
+        poles=tuple(
+            Pole(x, y, 0.0, 3.0, 200.0)
+            for x, y in np.random.default_rng(23).uniform(-15.0, 25.0, (40, 2))
+        ),
+        tilt_profile=(
+            (0.0, 0.0, 0.0),
+            (4.0, math.radians(10.0), math.radians(4.0)),
+            (8.0, math.radians(-6.0), 0.0),
+        ),
+        radar=RadarModel(ground_reflectivity=16.0),
+    )
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        result = simulate(sc)
+    finally:
+        sys.setswitchinterval(switch)
+    gt = generate_ground_truth(sc)
+    period = sc.radar.period_ns
+    expected = []
+    t0 = gt.t_start
+    while t0 + period <= result.imu[-1].t:
+        expected.append(render_scan(sc, gt, t0))
+        t0 += period
+    assert len(result.scans) == len(expected) > 8
+    for got, want in zip(result.scans, expected):
+        assert got.intensity.tobytes() == want.intensity.tobytes()
+        assert got.azimuth_timestamps.tobytes() == want.azimuth_timestamps.tobytes()
+        assert got.azimuths.tobytes() == want.azimuths.tobytes()
+        assert got.range_resolution == want.range_resolution
+
+
+def _pole_window_scenario(segment, heading=0.0, tilt=()):
+    """Half a second at rest, then a fast pass (8 m/s, so a scan spans 2 m
+    of path) through poles on and beside the path, poles straight behind the
+    start (bearings at +-pi), and a seeded field around it; noise-free so
+    grids compare exactly."""
+    c, s = math.cos(heading), math.sin(heading)
+    near = [(along, side) for along in np.arange(0.5, 16.0, 0.75)
+            for side in (0.0, 0.12, -0.4, 0.9, -1.3)]
+    behind = [(-4.0, 1e-3), (-4.0, -1e-3), (-9.0, 0.0)]
+    rng = np.random.default_rng(41)
+    field = rng.uniform(-30.0, 40.0, (60, 2))
+    local = np.array(near + behind + field.tolist())
+    heights = rng.uniform(0.5, 8.0, len(local))
+    bases = rng.uniform(-1.0, 0.5, len(local))
+    poles = tuple(
+        Pole(float(c * a - s * b), float(s * a + c * b), float(z), float(h), 180.0)
+        for (a, b), z, h in zip(local, bases, heights)
+    )
+    return Scenario(
+        seed=31,
+        segments=(PathSegment("dwell", duration=0.5), segment),
+        poles=poles,
+        tilt_profile=tuple(tilt),
+        radar=_quiet_radar(),
+        start_heading=heading,
+    )
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [
+        _pole_window_scenario(PathSegment("straight", speed=8.0, length=16.0)),
+        _pole_window_scenario(
+            PathSegment("straight", speed=8.0, length=16.0),
+            heading=math.pi,
+            tilt=((0.0, math.radians(15.0), math.radians(-8.0)),
+                  (16.0, math.radians(-20.0), math.radians(6.0))),
+        ),
+        _pole_window_scenario(
+            PathSegment("turn", speed=8.0, radius=4.0, angle=2.0 * math.pi),
+            heading=3.0,
+            tilt=((0.0, math.radians(-12.0), math.radians(10.0)),
+                  (25.0, math.radians(18.0), 0.0)),
+        ),
+    ],
+    ids=["level-pass", "tilted-heading-pi", "tilted-turn"],
+)
+def test_render_pole_window_matches_all_pairs_hit_test(sc):
+    gt = generate_ground_truth(sc)
+    period = sc.radar.period_ns
+    p_xy = np.array([[q.x, q.y] for q in sc.poles])
+    passed_within_reach = 0
+    for t0 in range(gt.t_start, gt.t_end - period + 1, period):
+        want = all_pairs_pole_scan(sc, gt, t0)
+        assert np.count_nonzero(want) > 0
+        np.testing.assert_array_equal(render_scan(sc, gt, t0).intensity, want)
+        # Count scans whose path passes a pole closer than its own spread,
+        # where the window has to keep every azimuth.
+        pos, _ = gt.sample(t0 + np.arange(400) * (period // 400))
+        mean = pos[:, :2].mean(axis=0)
+        reach = np.hypot(*(pos[:, :2] - mean).T).max()
+        passed_within_reach += np.hypot(*(p_xy - mean).T).min() <= reach
+    assert passed_within_reach > 0
 
 
 def test_static_imu_statistics():
