@@ -10,8 +10,8 @@ scan captured while tilting stays rigid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +56,8 @@ class PolarScan:
             raise ValueError("azimuth arrays must match the grid's first dimension")
         if n_a == 0:
             raise ValueError("scan must contain at least one azimuth")
+        if not np.all(np.isfinite(self.azimuths)):
+            raise ValueError("azimuths must be finite")
         if np.any(np.diff(self.azimuths) <= 0):
             raise ValueError("azimuths must be strictly increasing")
         if self.azimuths[0] < 0.0 or self.azimuths[-1] >= 2.0 * np.pi:
@@ -65,8 +67,10 @@ class PolarScan:
         span = int(self.azimuth_timestamps[-1] - self.azimuth_timestamps[0])
         if span > MAX_SCAN_SPAN_NS:
             raise ValueError(f"azimuth timestamp span {span} ns exceeds one rotation")
+        if not math.isfinite(self.range_resolution):
+            raise ValueError("range_resolution must be finite")
         if self.range_resolution <= 0.0:
-            raise ValueError("range resolution must be positive")
+            raise ValueError("range_resolution must be positive")
 
     @property
     def azimuth_count(self) -> int:
@@ -79,16 +83,6 @@ class PolarScan:
     @property
     def t_start(self) -> int:
         return int(self.azimuth_timestamps.min())
-
-
-class RadarPoint(NamedTuple):
-    """Single extracted return (sensor-frame coordinates at capture time)."""
-
-    x: float
-    y: float
-    z: float
-    intensity: float
-    t: int
 
 
 @dataclass
@@ -130,15 +124,6 @@ class PointCloud:
     def __len__(self) -> int:
         return self.xyz.shape[0]
 
-    def point(self, i: int) -> RadarPoint:
-        return RadarPoint(
-            float(self.xyz[i, 0]),
-            float(self.xyz[i, 1]),
-            float(self.xyz[i, 2]),
-            float(self.intensity[i]),
-            int(self.t[i]),
-        )
-
     def subset(self, mask: np.ndarray) -> "PointCloud":
         return replace(
             self,
@@ -147,11 +132,6 @@ class PointCloud:
             t=self.t[mask],
             weight=self.weight[mask],
         )
-
-
-def polar_to_cartesian(range_m: float, azimuth: float) -> tuple[float, float]:
-    """Planar sensor-frame coordinates of a polar return."""
-    return range_m * float(np.cos(azimuth)), range_m * float(np.sin(azimuth))
 
 
 def k_strongest(
@@ -171,27 +151,29 @@ def k_strongest(
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    n_a, n_r = scan.intensity.shape
+    n_r = scan.range_bin_count
     dr = scan.range_resolution
     centers = (np.arange(n_r) + 0.5) * dr
     in_range = (centers >= r_min) & (centers <= r_max)
 
-    # Composite sort key, unique within a row: descending intensity, then
-    # ascending bin index; -1 marks bins that fail the gate.  It is built
-    # and partitioned in place to keep one grid-sized temporary per scan:
-    # with several, glibc trimmed and re-faulted the heap top on every scan.
-    key = scan.intensity.astype(np.int64)
-    key *= n_r
-    key += n_r - 1 - np.arange(n_r)
-    key[~(in_range[None, :] & (scan.intensity > tau_raw))] = -1
-
-    kk = min(k, n_r)
-    key.partition(n_r - kk, axis=1)
-    top_keys = np.sort(key[:, n_r - kk:], axis=1)[:, ::-1]
-
-    valid = top_keys >= 0
-    rows = np.repeat(np.arange(n_a), kk)[valid.ravel()]
-    bins = n_r - 1 - top_keys[valid] % n_r
+    # Only the gated bins are sorted, not the grid.  Intensities are
+    # integers, so "> tau_raw" equals "> floor(tau_raw)", and a small int
+    # threshold keeps the one grid-sized comparison in uint8.
+    thr = tau_raw
+    if math.isfinite(tau_raw):
+        thr = min(max(math.floor(tau_raw), -1), 255)
+    flat = np.flatnonzero(scan.intensity > thr)
+    rows, bins = np.divmod(flat, n_r)
+    gated = in_range[bins]
+    rows, bins = rows[gated], bins[gated]
+    vals = scan.intensity.ravel()[flat[gated]]
+    # flatnonzero is row-major and lexsort is stable, so within a row equal
+    # intensities stay in ascending bin order.  Cast before negating: -uint8
+    # wraps.
+    order = np.lexsort((-vals.astype(np.int16), rows))
+    rows, bins, vals = rows[order], bins[order], vals[order]
+    top = np.arange(rows.size) - np.searchsorted(rows, rows) < k
+    rows, bins, vals = rows[top], bins[top], vals[top]
     if rows.size == 0:
         return PointCloud.empty("raw", scan.t_start)
 
@@ -200,8 +182,8 @@ def k_strongest(
     xyz = np.column_stack(
         [ranges * np.cos(az), ranges * np.sin(az), np.zeros(rows.size)]
     )
-    intensity = scan.intensity[rows, bins].astype(float)
     t = scan.azimuth_timestamps[rows]
+    intensity = vals.astype(float)
     return PointCloud("raw", xyz, intensity, t, np.ones(rows.size), int(t.min()))
 
 
@@ -215,10 +197,12 @@ def deskew(cloud: PointCloud, track: AttitudeTrack) -> PointCloud:
         raise ValueError(f"deskew expects a raw cloud, got {cloud.stage!r}")
     if len(cloud) == 0:
         raise ValueError("cannot deskew an empty cloud")
-    t_ref = int(cloud.t.min())
+    # The earliest point time is unique_t[0], so the reference attitude is
+    # row 0 of the one batched query.
     unique_t, inverse = np.unique(cloud.t, return_inverse=True)
+    t_ref = int(unique_t[0])
     quats = track.attitudes_at(unique_t)
-    q_ref = track.attitudes_at(np.array([t_ref], dtype=np.int64))
+    q_ref = quats[:1]
     rel = quat_array_multiply(
         np.broadcast_to(quat_array_conjugate(q_ref), quats.shape), quats
     )

@@ -53,12 +53,8 @@ class Params:
             raise ValueError("r_submap must be positive")
         if self.k_nn < 1:
             raise ValueError("k_nn must be at least 1")
-        if not 0.0 < self.tau_tilt < 1.0:
-            raise ValueError("tau_tilt must lie in (0, 1)")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        if self.theta_tilt < 0.0:
-            raise ValueError("theta_tilt must be non-negative")
+        # gamma, tau_tilt and theta_tilt are validated by the gate itself.
+        self.gate_params()
 
     def gate_params(self) -> TiltGateParams:
         return TiltGateParams(self.gamma, self.tau_tilt, self.theta_tilt)
@@ -141,8 +137,9 @@ def predict(state: OdomState, t_next: int, track: AttitudeTrack) -> Pose2:
     dt = (t_next - state.t) * 1e-9
     if dt < 0.0:
         raise ValueError("prediction target precedes the current state")
-    yaw_now = track.attitude_at(state.t).to_rpy()[2]
-    yaw_next = track.attitude_at(t_next).to_rpy()[2]
+    q_now, q_next = track.attitudes_at([state.t, t_next])
+    yaw_now = UnitQuat.from_array(q_now).to_rpy()[2]
+    yaw_next = UnitQuat.from_array(q_next).to_rpy()[2]
     dyaw = wrap_angle(yaw_next - yaw_now)
     return Pose2(
         state.pose.x + state.velocity[0] * dt,

@@ -74,10 +74,6 @@ class VoxelGridIndex:
     def __len__(self) -> int:
         return self.cells.shape[0]
 
-    def cell_of(self, point) -> tuple[int, int, int]:
-        c = np.floor(np.asarray(point, dtype=float) / self.edge).astype(np.int64)
-        return int(c[0]), int(c[1]), int(c[2])
-
 
 def build_voxel_index(cloud: PointCloud, edge: float) -> VoxelGridIndex:
     """Group a cloud into voxels of the given edge length."""
@@ -95,8 +91,18 @@ def build_voxel_index(cloud: PointCloud, edge: float) -> VoxelGridIndex:
             np.empty(0, dtype=np.int64),
         )
     cells = np.floor(cloud.xyz / edge).astype(np.int64)
-    unique_cells, inverse = np.unique(cells, axis=0, return_inverse=True)
+    # A voxel starts wherever the lexicographically sorted cells change, so
+    # the cells come out unique and sorted; lexsort on three int64 columns
+    # cannot overflow, unlike a combined 1-D key.
+    order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
+    sorted_cells = cells[order]
+    starts = np.empty(len(order), dtype=bool)
+    starts[0] = True
+    np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1, out=starts[1:])
+    unique_cells = sorted_cells[starts]
     m = unique_cells.shape[0]
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
     counts = np.bincount(inverse, minlength=m)
     # Zero-total-weight voxels fall back to unweighted averaging.
     w = cloud.weight

@@ -10,6 +10,7 @@ import numpy as np
 
 from tiltro import PointCloud, PolarScan
 from tiltro.geometry import quat_array_to_matrices, wrap_angle_array
+from tiltro.registration import VoxelGridIndex
 from tiltro.sim import _deposit
 
 
@@ -60,6 +61,37 @@ def brute_force_k_strongest(scan: PolarScan, k, r_min, r_max, tau_raw):
         candidates.sort()
         out.extend((row, b) for _, b in candidates[:k])
     return out
+
+
+def unique_voxel_index(cloud: PointCloud, edge: float) -> VoxelGridIndex:
+    """Reference voxel grouping through np.unique(axis=0): the cells come
+    out unique and lexicographically sorted, with each point's voxel in the
+    inverse.  The aggregates are the same bincounts as build_voxel_index,
+    so the two agree byte for byte when their groupings do."""
+    cells = np.floor(cloud.xyz / edge).astype(np.int64)
+    unique_cells, inverse = np.unique(cells, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    m = unique_cells.shape[0]
+    counts = np.bincount(inverse, minlength=m)
+    w = cloud.weight
+    w_sum = np.bincount(inverse, weights=w, minlength=m)
+    zero = w_sum <= 0.0
+    eff_w = np.where(zero[inverse], 1.0, w)
+    eff_sum = np.where(zero, counts.astype(float), w_sum)
+    centroids = np.column_stack(
+        [
+            np.bincount(inverse, weights=eff_w * cloud.xyz[:, i], minlength=m)
+            for i in range(3)
+        ]
+    ) / eff_sum[:, None]
+    mean_intensity = (
+        np.bincount(inverse, weights=eff_w * cloud.intensity, minlength=m) / eff_sum
+    )
+    min_t = np.full(m, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(min_t, inverse, cloud.t)
+    return VoxelGridIndex(
+        edge, unique_cells, centroids, counts, w_sum / counts, mean_intensity, min_t
+    )
 
 
 def all_pairs_pole_scan(scenario, gt, t_start: int) -> np.ndarray:

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tiltro import (
     GRAVITY,
@@ -17,7 +20,8 @@ from tiltro import (
     run_filter,
     slerp,
 )
-from tiltro.attitude import warm_start_attitude
+from tiltro.attitude import EXTRAPOLATION_LIMIT_NS, warm_start_attitude
+from tiltro.geometry import rpy_to_quat_array
 
 _DT = 0.005  # 200 Hz
 
@@ -239,3 +243,27 @@ def test_track_query_is_independent_of_the_time_origin():
     local = AttitudeTrack(t, quats).attitudes_at(ts)
     epoch = AttitudeTrack(t + offset, quats).attitudes_at(ts + offset)
     np.testing.assert_array_equal(epoch, local)
+
+
+@st.composite
+def _track_and_queries(draw):
+    n = draw(st.integers(1, 30))
+    steps = draw(arrays(np.int64, n, elements=st.integers(1, 20_000_000)))
+    t = draw(st.integers(-(2**60), 2**60)) + np.cumsum(steps)
+    rpy = draw(arrays(np.float64, (n, 3), elements=st.floats(-3.2, 3.2)))
+    quats = rpy_to_quat_array(rpy[:, 0], rpy[:, 1], rpy[:, 2])
+    lo, hi = int(t[0]) - EXTRAPOLATION_LIMIT_NS, int(t[-1]) + EXTRAPOLATION_LIMIT_NS
+    knots = st.sampled_from(t.tolist())
+    ts = draw(st.lists(st.one_of(st.integers(lo, hi), knots), min_size=1, max_size=64))
+    return AttitudeTrack(t, quats), np.array(ts, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_track_and_queries())
+def test_track_batch_query_rows_equal_single_queries(case):
+    # The pipeline folds several attitude lookups into one batched query;
+    # that is only byte-neutral if every row is computed independently.
+    track, ts = case
+    batch = track.attitudes_at(ts)
+    for i, t in enumerate(ts):
+        assert batch[i].tobytes() == track.attitudes_at([t])[0].tobytes()

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tiltro.attitude import AttitudeTrack
 from tiltro.frontend import (
@@ -12,7 +15,6 @@ from tiltro.frontend import (
     PolarScan,
     deskew,
     k_strongest,
-    polar_to_cartesian,
 )
 from tiltro.geometry import UnitQuat
 
@@ -52,14 +54,13 @@ def test_polar_scan_validation():
         PolarScan(az, t, good, 0.0)
     with pytest.raises(ValueError):
         PolarScan(np.empty(0), np.empty(0, dtype=np.int64), np.zeros((0, 4), np.uint8), 0.5)
-
-
-def test_polar_to_cartesian_examples():
-    assert polar_to_cartesian(5.0, 0.0) == pytest.approx((5.0, 0.0))
-    assert polar_to_cartesian(5.0, math.pi / 2) == pytest.approx((0.0, 5.0), abs=1e-12)
-    assert polar_to_cartesian(2.0, math.pi / 4) == pytest.approx(
-        (math.sqrt(2.0), math.sqrt(2.0))
-    )
+    # Non-finite geometry slips past every "<= 0" and diff comparison.
+    for bad_az in ([np.nan, 1.0], [0.0, np.nan], [np.nan, np.nan]):
+        with pytest.raises(ValueError, match="azimuths must be finite"):
+            PolarScan(np.array(bad_az), t, good, 0.5)
+    for bad_dr in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="range_resolution must be finite"):
+            PolarScan(az, t, good, bad_dr)
 
 
 def test_k_strongest_worked_example():
@@ -91,6 +92,15 @@ def test_k_strongest_threshold_is_strict():
     cloud = k_strongest(scan, k=5, r_min=0.0, r_max=10.0, tau_raw=60.0)
     assert len(cloud) == 1
     assert cloud.intensity[0] == 61.0
+    # Below zero every bin qualifies, and zero-intensity bins rank last.
+    scan = _scan_from_rows([[0, 5, 0, 7]])
+    cloud = k_strongest(scan, k=3, r_min=0.0, r_max=10.0, tau_raw=-0.5)
+    assert list(cloud.intensity) == [7.0, 5.0, 0.0]
+    assert np.hypot(cloud.xyz[:, 0], cloud.xyz[:, 1]) == pytest.approx([3.5, 1.5, 0.5])
+    # At the top of the uint8 range nothing lies above 255.
+    top = _scan_from_rows([[255, 254]])
+    assert len(k_strongest(top, k=5, r_min=0.0, r_max=10.0, tau_raw=255.0)) == 0
+    assert len(k_strongest(top, k=5, r_min=0.0, r_max=10.0, tau_raw=254.5)) == 1
 
 
 def test_k_strongest_tie_breaks_to_lower_bin():
@@ -128,6 +138,58 @@ def test_k_strongest_matches_brute_force_oracle():
         bins = np.rint(np.hypot(cloud.xyz[:, 0], cloud.xyz[:, 1]) / dr - 0.5)
         got = list(zip(rows.tolist(), bins.astype(int).tolist()))
         assert got == expect
+
+
+@st.composite
+def _sparse_extraction_cases(draw):
+    """Mostly-background grids: a few distinct levels (many ties) on a fill
+    that usually sits at or below the threshold.  Thresholds may be
+    fractional, negative or non-finite, windows may be empty, and k may
+    reach past the row length."""
+    n_a = draw(st.integers(1, 12))
+    n_r = draw(st.integers(1, 40))
+    levels = draw(st.lists(st.integers(0, 255), min_size=1, max_size=4))
+    background = draw(st.sampled_from([0, 35, 60]))
+    grid = draw(
+        arrays(
+            np.uint8,
+            (n_a, n_r),
+            elements=st.sampled_from(levels),
+            fill=st.just(background),
+        )
+    )
+    dr = draw(st.floats(0.05, 2.0))
+    tau = draw(
+        st.one_of(
+            st.integers(60, 256).map(float),
+            st.floats(60.0, 300.0),
+            st.floats(-5.0, 60.0),
+            st.sampled_from([math.inf, -math.inf, math.nan]),
+        )
+    )
+    r_min = draw(st.one_of(st.just(0.0), st.floats(0.0, n_r * dr + 1.0)))
+    r_max = r_min + draw(st.floats(0.0, n_r * dr + 1.0))
+    k = draw(st.integers(1, n_r + 2))
+    return grid, dr, k, r_min, r_max, tau
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_extraction_cases())
+def test_k_strongest_matches_brute_force_on_sparse_grids(case):
+    grid, dr, k, r_min, r_max, tau = case
+    scan = _scan_from_rows(grid, dr)
+    cloud = k_strongest(scan, k, r_min, r_max, tau)
+    expect = brute_force_k_strongest(scan, k, r_min, r_max, tau)
+    assert len(cloud) == len(expect)
+    if not expect:
+        assert cloud.t_ref == scan.t_start
+        return
+    rows, bins = (np.array(col) for col in zip(*expect))
+    got_bins = np.rint(np.hypot(cloud.xyz[:, 0], cloud.xyz[:, 1]) / dr - 0.5)
+    np.testing.assert_array_equal(got_bins.astype(int), bins)
+    np.testing.assert_array_equal(cloud.t, scan.azimuth_timestamps[rows])
+    np.testing.assert_array_equal(cloud.intensity, grid[rows, bins].astype(float))
+    assert cloud.t_ref == int(cloud.t.min())
 
 
 def test_k_strongest_invariants():

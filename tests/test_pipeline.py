@@ -242,3 +242,37 @@ def test_params_validation():
         Params(tau_tilt=1.5)
     with pytest.raises(ValueError):
         Params(k_nn=0)
+    with pytest.raises(ValueError, match="gamma"):
+        Params(gamma=0.0)
+    with pytest.raises(ValueError, match="theta_tilt"):
+        Params(theta_tilt=-1.0)
+    with pytest.raises(ValueError, match="tau_tilt"):
+        Params(tau_tilt=0.0)
+    # The cutoff's range is (0, 1], as in TiltGateParams and the README.
+    assert Params(tau_tilt=1.0).gate_params().tau_tilt == 1.0
+
+
+def test_process_scan_queries_attitude_at_most_three_times(
+    straight_sim, perfect_track, monkeypatch
+):
+    calls = []
+    query = AttitudeTrack.attitudes_at
+
+    def counting(self, ts):
+        calls.append(1)
+        return query(self, ts)
+
+    scans = straight_sim.scans[:12]
+    state = initial_state(perfect_track, scans[0].t_start)
+    atlas = Atlas()
+    monkeypatch.setattr(AttitudeTrack, "attitudes_at", counting)
+    per_scan = []
+    for i, scan in enumerate(scans):
+        calls.clear()
+        state, atlas, _ = process_scan(
+            state, scan, perfect_track, atlas, scan_index=i
+        )
+        per_scan.append(len(calls))
+    assert max(per_scan) <= 3
+    # Every scan after the first predicts, reads its attitude and deskews.
+    assert per_scan[1:] == [3] * (len(scans) - 1)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tiltro.errors import EmptyReference, NoCorrespondences
 from tiltro.frontend import PointCloud
@@ -15,6 +18,8 @@ from tiltro.registration import (
     icp_point_to_point,
     voxel_downsample,
 )
+
+from helpers import unique_voxel_index
 
 
 def _cloud(xyz, weight=None, t=None, stage="filtered"):
@@ -95,6 +100,37 @@ def test_voxel_downsample_empty_and_validation():
     assert len(voxel_downsample(empty, 1.0)) == 0
     with pytest.raises(ValueError):
         build_voxel_index(empty, 0.0)
+
+
+@st.composite
+def _voxel_cases(draw):
+    """Clouds with negative coordinates, many points per cell, a few far
+    outliers, and weights that are often zero (whole voxels included)."""
+    n = draw(st.integers(1, 60))
+    # Quarter-metre steps put points on cell faces and many in one cell.
+    coord = st.integers(-24, 24).map(lambda i: i * 0.25)
+    far = st.floats(-1e15, 1e15)
+    xyz = draw(arrays(np.float64, (n, 3), elements=coord, fill=far))
+    weight = draw(
+        arrays(np.float64, n, elements=st.floats(0.0, 2.0), fill=st.just(0.0))
+    )
+    intensity = draw(arrays(np.float64, n, elements=st.floats(0.0, 255.0)))
+    t = draw(arrays(np.int64, n, elements=st.integers(-(2**62), 2**62)))
+    edge = draw(st.floats(0.1, 3.0))
+    return PointCloud("filtered", xyz, intensity, t, weight, 0), edge
+
+
+@settings(max_examples=300, deadline=None)
+@given(_voxel_cases())
+def test_build_voxel_index_matches_unique_reference(case):
+    cloud, edge = case
+    got = build_voxel_index(cloud, edge)
+    expect = unique_voxel_index(cloud, edge)
+    fields = ("cells", "centroids", "counts", "mean_weights", "mean_intensity", "min_t")
+    for name in fields:
+        a, b = getattr(got, name), getattr(expect, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_nn_index_examples():
