@@ -18,9 +18,10 @@ import numpy as np
 
 from tiltro.frontend import PointCloud
 from tiltro.geometry import RelativeTilt
-from tiltro.tilt_gate import TiltGateParams, cauchy_weight, tilt_filter, vertical_displacement
+from tiltro.params import Params
+from tiltro.tilt_gate import cauchy_weight, tilt_filter, vertical_displacement
 
-params = TiltGateParams()  # gamma 3.5 m, cutoff weight 0.8, engage above 3 deg
+params = Params()  # gamma 3.5 m, cutoff weight 0.8, engage above 3 deg
 print("Cauchy weight vs vertical displacement (gamma = 3.5 m):")
 for dd in (0.0, 1.0, 1.75, 3.5, 7.0, 20.0):
     print(f"  {dd:5.2f} m -> {cauchy_weight(dd, params.gamma):.3f}")

@@ -18,8 +18,8 @@ from tiltro.attitude import estimate_bias, run_filter
 from tiltro.evaluation import Trajectory, endpoint_error, relative_translation_error
 from tiltro.geometry import quat_array_to_rpy
 from tiltro.io import states_to_arrays
-from tiltro.pipeline import Params, run_odometry
-from tiltro.registration import IcpConfig
+from tiltro.params import Params
+from tiltro.pipeline import run_odometry
 from tiltro.sim import rectangle_loop, simulate
 
 t0 = time.perf_counter()
@@ -31,7 +31,7 @@ bias = estimate_bias(result.imu, window_s=10.0)
 track = run_filter(result.imu, bias)
 
 t1 = time.perf_counter()
-states, diags = run_odometry(result.scans, track, Params(), IcpConfig())
+states, diags = run_odometry(result.scans, track, Params())
 print(f"odometry over {len(states)} scans in {time.perf_counter() - t1:.1f} s")
 hits = sum(1 for d in diags if d.hit)
 print(f"  {hits} registered, {len(states) - hits} misses,"

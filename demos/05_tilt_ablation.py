@@ -17,8 +17,8 @@ from tiltro.attitude import estimate_bias, run_filter
 from tiltro.evaluation import Trajectory, relative_translation_error
 from tiltro.geometry import quat_array_to_rpy
 from tiltro.io import states_to_arrays
-from tiltro.pipeline import Params, run_odometry
-from tiltro.registration import IcpConfig
+from tiltro.params import Params
+from tiltro.pipeline import run_odometry
 from tiltro.sim import generate_ground_truth, quarry_course, simulate
 
 scenario = quarry_course(seed=1)
@@ -40,7 +40,7 @@ gt = Trajectory(result.gt_t, result.gt_pos[:, 0], result.gt_pos[:, 1], gt_yaw)
 
 def score(tilt_gate: bool, tilt_search: bool) -> float:
     states, diags = run_odometry(
-        result.scans, track, Params(), IcpConfig(),
+        result.scans, track, Params(),
         tilt_gate_enabled=tilt_gate, tilt_search_enabled=tilt_search,
     )
     t, x, y, yaw, _, _ = states_to_arrays(states)

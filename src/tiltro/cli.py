@@ -113,19 +113,18 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = read_run_config(args.config)
+    params = read_run_config(args.config)
     dataset = load_dataset(args.dataset)
     try:
-        bias = estimate_bias(dataset.imu, cfg.static_window_s)
+        bias = estimate_bias(dataset.imu, params.static_window_s)
     except (InsufficientData, NotStatic) as err:
         print(f"run: bias calibration skipped ({err})", file=sys.stderr)
         bias = ImuBias.zero()
-    track = run_filter(dataset.imu, bias, cfg.beta)
+    track = run_filter(dataset.imu, bias, params.beta)
     states, diags = run_odometry(
         dataset.scans,
         track,
-        cfg.params(),
-        cfg.icp_config(),
+        params,
         tilt_gate_enabled=not args.no_tilt_gate,
         tilt_search_enabled=not args.no_tilt_search,
     )

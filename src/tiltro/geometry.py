@@ -179,16 +179,6 @@ def slerp(q0: UnitQuat, q1: UnitQuat, t: float) -> UnitQuat:
     return UnitQuat(out[0], out[1], out[2], out[3])
 
 
-def quat_to_rpy(q: UnitQuat) -> tuple[float, float, float]:
-    """Module-level alias for :meth:`UnitQuat.to_rpy`."""
-    return q.to_rpy()
-
-
-def rpy_to_quat(roll: float, pitch: float, yaw: float) -> UnitQuat:
-    """Module-level alias for :meth:`UnitQuat.from_rpy`."""
-    return UnitQuat.from_rpy(roll, pitch, yaw)
-
-
 @dataclass(frozen=True)
 class RelativeTilt:
     """Roll/pitch part of a relative rotation as a horizontal axis-angle.
@@ -277,11 +267,6 @@ class Pose2:
 
     def planar_distance(self, other: "Pose2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
-
-
-def pose2_compose(a: Pose2, b: Pose2) -> Pose2:
-    """Compose two planar poses (a then b in a's frame)."""
-    return a.compose(b)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ of guessing.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -28,8 +29,7 @@ from .errors import (
 from .evaluation import RteReport, Trajectory
 from .frontend import PolarScan
 from .geometry import quat_array_to_rpy
-from .pipeline import Params
-from .registration import IcpConfig
+from .params import Params
 
 _SCAN_MAGIC = b"FRAD"
 _SCAN_VERSION = 1
@@ -131,11 +131,18 @@ def _parse_int(path, lineno: int, text: str) -> int:
 
 def _parse_float(path, lineno: int, text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as err:
         raise MalformedRow(
             f"{path}: line {lineno}: {text!r} is not a number"
         ) from err
+    # Nothing this program writes is non-finite; a NaN read back would
+    # travel through the filter into published poses.
+    if not math.isfinite(value):
+        raise MalformedRow(
+            f"{path}: line {lineno}: {text!r} is not a finite number"
+        )
+    return value
 
 
 class _MonotonicCheck:
@@ -308,57 +315,12 @@ def read_rte_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
 
 
 # ---------------------------------------------------------------------------
-# Run configuration: a flat key = value text file covering the pipeline,
-# ICP, and attitude-filter parameters.  Unknown and repeated keys are
-# rejected so typos never silently fall back to defaults.
+# Run configuration: a flat key = value text file with one key per field of
+# Params.  Unknown and repeated keys are rejected so typos never silently
+# fall back to defaults.
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    k: int = 10
-    r_min: float = 5.0
-    r_max: float = 100.0
-    tau_raw: float = 60.0
-    d_voxel: float = 1.0
-    theta_tilt: float = 3.0
-    gamma: float = 3.5
-    r_submap: float = 20.0
-    tau_tilt: float = 0.8
-    k_nn: int = 4
-    max_iterations: int = 40
-    translation_epsilon: float = 1e-3
-    rotation_epsilon: float = 1e-4
-    max_correspondence_distance: float = 5.0
-    use_point_weights: bool = True
-    beta: float = 0.1
-    static_window_s: float = 10.0
-
-    def params(self) -> Params:
-        return Params(
-            k=self.k,
-            r_min=self.r_min,
-            r_max=self.r_max,
-            tau_raw=self.tau_raw,
-            d_voxel=self.d_voxel,
-            theta_tilt=self.theta_tilt,
-            gamma=self.gamma,
-            r_submap=self.r_submap,
-            tau_tilt=self.tau_tilt,
-            k_nn=self.k_nn,
-        )
-
-    def icp_config(self) -> IcpConfig:
-        return IcpConfig(
-            k_nn=self.k_nn,
-            max_iterations=self.max_iterations,
-            translation_epsilon=self.translation_epsilon,
-            rotation_epsilon=self.rotation_epsilon,
-            max_correspondence_distance=self.max_correspondence_distance,
-            use_point_weights=self.use_point_weights,
-        )
-
-
-_CONFIG_FIELDS = {f.name: f.type for f in fields(RunConfig)}
+_CONFIG_FIELDS = {f.name: f.type for f in fields(Params)}
 
 
 def _parse_config_value(key: str, text: str, where: str):
@@ -376,7 +338,7 @@ def _parse_config_value(key: str, text: str, where: str):
         raise ConfigError(f"{where}: cannot parse {key} value {text!r}") from err
 
 
-def parse_run_config(text: str, source: str = "config") -> RunConfig:
+def parse_run_config(text: str, source: str = "config") -> Params:
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -393,28 +355,21 @@ def parse_run_config(text: str, source: str = "config") -> RunConfig:
         if key in values:
             raise ConfigError(f"{where}: duplicate key {key!r}")
         values[key] = _parse_config_value(key, value, where)
-    cfg = RunConfig(**values)
     try:
-        cfg.params()
-        cfg.icp_config()
+        return Params(**values)
     except ValueError as err:
         raise ConfigError(f"{source}: {err}") from err
-    if cfg.beta < 0.0:
-        raise ConfigError(f"{source}: beta must be non-negative")
-    if cfg.static_window_s <= 0.0:
-        raise ConfigError(f"{source}: static_window_s must be positive")
-    return cfg
 
 
-def read_run_config(path) -> RunConfig:
+def read_run_config(path) -> Params:
     path = Path(path)
     return parse_run_config(path.read_text(encoding="utf-8"), str(path))
 
 
-def format_run_config(cfg: RunConfig) -> str:
+def format_run_config(params: Params) -> str:
     lines = []
-    for f in fields(RunConfig):
-        v = getattr(cfg, f.name)
+    for f in fields(Params):
+        v = getattr(params, f.name)
         if isinstance(v, bool):
             text = "true" if v else "false"
         elif isinstance(v, float):

@@ -18,46 +18,13 @@ from .attitude import AttitudeTrack
 from .errors import TiltroError
 from .frontend import PointCloud, PolarScan, deskew, k_strongest
 from .geometry import Pose2, UnitQuat, wrap_angle
-from .registration import IcpConfig, icp_point_to_point, voxel_downsample
+from .params import Params
+from .registration import icp_point_to_point, voxel_downsample
 from .submaps import Atlas, find_submap, tilt_lift, update_atlas
-from .tilt_gate import TiltGateParams, tilt_filter
+from .tilt_gate import tilt_filter
 
 #: Velocity magnitudes at or above this are treated as divergence (m/s).
 MAX_PLAUSIBLE_SPEED = 20.0
-
-
-@dataclass(frozen=True)
-class Params:
-    """Frontend / gating / mapping parameter set (defaults are the field-
-    tested values; all lengths in meters, theta_tilt in degrees)."""
-
-    k: int = 10
-    r_min: float = 5.0
-    r_max: float = 100.0
-    tau_raw: float = 60.0
-    d_voxel: float = 1.0
-    theta_tilt: float = 3.0
-    gamma: float = 3.5
-    r_submap: float = 20.0
-    tau_tilt: float = 0.8
-    k_nn: int = 4
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if not 0.0 <= self.r_min < self.r_max:
-            raise ValueError("need 0 <= r_min < r_max")
-        if self.d_voxel <= 0.0:
-            raise ValueError("d_voxel must be positive")
-        if self.r_submap <= 0.0:
-            raise ValueError("r_submap must be positive")
-        if self.k_nn < 1:
-            raise ValueError("k_nn must be at least 1")
-        # gamma, tau_tilt and theta_tilt are validated by the gate itself.
-        self.gate_params()
-
-    def gate_params(self) -> TiltGateParams:
-        return TiltGateParams(self.gamma, self.tau_tilt, self.theta_tilt)
 
 
 @dataclass(frozen=True)
@@ -154,7 +121,6 @@ def process_scan(
     track: AttitudeTrack,
     atlas: Atlas,
     params: Params = Params(),
-    icp_cfg: IcpConfig = IcpConfig(),
     *,
     tilt_gate_enabled: bool = True,
     tilt_search_enabled: bool = True,
@@ -216,7 +182,7 @@ def process_scan(
         gated = deskewed
         if match is not None and tilt_gate_enabled:
             try:
-                gated = tilt_filter(deskewed, match[1], params.gate_params())
+                gated = tilt_filter(deskewed, match[1], params)
             except TiltroError:
                 # Gate removed everything: fall back to the ungated cloud.
                 gated = replace(deskewed, stage="filtered")
@@ -238,7 +204,7 @@ def process_scan(
                     tilt_lift(compact, q_now),
                     submap.cloud,
                     prior,
-                    replace(icp_cfg, k_nn=params.k_nn),
+                    params,
                     index=submap.nn_index(),
                 )
                 diag.icp_iterations = result.iterations
@@ -282,7 +248,6 @@ def run_odometry(
     scans,
     track: AttitudeTrack,
     params: Params = Params(),
-    icp_cfg: IcpConfig = IcpConfig(),
     *,
     tilt_gate_enabled: bool = True,
     tilt_search_enabled: bool = True,
@@ -293,11 +258,7 @@ def run_odometry(
     """
     states: list[OdomState] = []
     diags: list[ScanDiagnostics] = []
-    atlas = Atlas(
-        r_submap=params.r_submap,
-        theta_tilt=params.theta_tilt,
-        d_voxel=params.d_voxel,
-    )
+    atlas = Atlas(params)
     state: OdomState | None = None
     for i, scan in enumerate(scans):
         if state is None:
@@ -308,7 +269,6 @@ def run_odometry(
             track,
             atlas,
             params,
-            icp_cfg,
             tilt_gate_enabled=tilt_gate_enabled,
             tilt_search_enabled=tilt_search_enabled,
             scan_index=i,

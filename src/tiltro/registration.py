@@ -17,30 +17,10 @@ from scipy.spatial import cKDTree
 from .errors import EmptyReference, NoCorrespondences
 from .frontend import PointCloud
 from .geometry import Pose2
+from .params import Params
 
 #: ICP aborts when fewer than this fraction of source points find a neighbor.
 MIN_MATCHED_FRACTION = 0.2
-
-
-@dataclass(frozen=True)
-class IcpConfig:
-    k_nn: int = 4
-    max_iterations: int = 40
-    translation_epsilon: float = 1e-3
-    rotation_epsilon: float = 1e-4
-    max_correspondence_distance: float = 5.0
-    #: Carry per-point (tilt-gate) weights into the residuals; ablatable.
-    use_point_weights: bool = True
-
-    def __post_init__(self):
-        if self.k_nn < 1:
-            raise ValueError("k_nn must be at least 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.translation_epsilon <= 0.0 or self.rotation_epsilon <= 0.0:
-            raise ValueError("convergence epsilons must be positive")
-        if self.max_correspondence_distance <= 0.0:
-            raise ValueError("max_correspondence_distance must be positive")
 
 
 @dataclass(frozen=True)
@@ -214,7 +194,7 @@ def icp_point_to_point(
     source: PointCloud,
     reference: PointCloud,
     prior: Pose2,
-    cfg: IcpConfig = IcpConfig(),
+    params: Params = Params(),
     index: NnIndex | None = None,
 ) -> IcpResult:
     """Align a source cloud to a reference with an SE(2) motion model.
@@ -239,20 +219,20 @@ def icp_point_to_point(
     estimate = prior
     src_xyz = source.xyz
     n = src_xyz.shape[0]
-    point_w = source.weight if cfg.use_point_weights else np.ones(n)
-    kk = min(cfg.k_nn, len(index))
+    point_w = source.weight if params.use_point_weights else np.ones(n)
+    kk = min(params.k_nn, len(index))
     iterations = 0
     final_cost = 0.0
     matched_fraction = 0.0
-    for iterations in range(1, cfg.max_iterations + 1):
+    for iterations in range(1, params.max_iterations + 1):
         moved = _apply_planar(estimate, src_xyz)
         dist, idx = index.query(moved, kk)
-        valid = dist <= cfg.max_correspondence_distance
+        valid = dist <= params.max_correspondence_distance
         matched_fraction = float(np.any(valid, axis=1).mean())
         if iterations == 1 and matched_fraction < MIN_MATCHED_FRACTION:
             raise NoCorrespondences(
                 f"only {matched_fraction:.0%} of source points matched within "
-                f"{cfg.max_correspondence_distance} m"
+                f"{params.max_correspondence_distance} m"
             )
         rows = np.repeat(np.arange(n), kk)[valid.ravel()]
         ref_pts = index.points[idx.ravel()[valid.ravel()]]
@@ -264,8 +244,8 @@ def icp_point_to_point(
         w_total = float(pair_w.sum())
         final_cost = float((pair_w * residual_sq).sum() / w_total) if w_total > 0 else 0.0
         if (
-            math.hypot(update.x, update.y) < cfg.translation_epsilon
-            and abs(update.yaw) < cfg.rotation_epsilon
+            math.hypot(update.x, update.y) < params.translation_epsilon
+            and abs(update.yaw) < params.rotation_epsilon
         ):
             break
     delta = estimate.compose(prior.inverse())

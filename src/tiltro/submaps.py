@@ -22,6 +22,7 @@ from .geometry import (
     UnitQuat,
     relative_tilt,
 )
+from .params import Params
 from .registration import NnIndex, build_nn_index, voxel_downsample
 
 
@@ -55,15 +56,14 @@ class Submap:
 
 @dataclass
 class Atlas:
-    """Ordered collection of submaps plus the shared gating parameters.
+    """Ordered collection of submaps plus the run parameters.
 
-    r_submap: search / merge radius (m); theta_tilt: per-component roll and
-    pitch compatibility bound (deg); d_voxel: compaction edge length (m).
+    The atlas reads params.r_submap (search / merge radius), params.theta_tilt
+    (per-component roll and pitch compatibility bound) and params.d_voxel
+    (compaction edge length).
     """
 
-    r_submap: float = 20.0
-    theta_tilt: float = 3.0
-    d_voxel: float = 1.0
+    params: Params = Params()
     submaps: list[Submap] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -73,7 +73,7 @@ class Atlas:
 def _tilt_compatible(atlas: Atlas, submap: Submap, q_now: UnitQuat) -> bool:
     roll, pitch, _ = q_now.to_rpy()
     sig_roll, sig_pitch = submap.attitude_signature
-    bound = math.radians(atlas.theta_tilt)
+    bound = math.radians(atlas.params.theta_tilt)
     return abs(roll - sig_roll) < bound and abs(pitch - sig_pitch) < bound
 
 
@@ -94,7 +94,7 @@ def find_submap(
     best_dist = math.inf
     for submap in atlas.submaps:
         dist = predicted.planar_distance(submap.anchor)
-        if dist > atlas.r_submap:
+        if dist > atlas.params.r_submap:
             continue
         if require_tilt and not _tilt_compatible(atlas, submap, q_now):
             continue
@@ -161,7 +161,7 @@ def update_atlas(
                 break
     if (
         target is not None
-        and pose.planar_distance(target.anchor) <= atlas.r_submap
+        and pose.planar_distance(target.anchor) <= atlas.params.r_submap
         and _tilt_compatible(atlas, target, q_now)
     ):
         merged = PointCloud(
@@ -172,7 +172,7 @@ def update_atlas(
             np.concatenate([target.cloud.weight, world.weight]),
             target.cloud.t_ref,
         )
-        target.cloud = voxel_downsample(merged, atlas.d_voxel)
+        target.cloud = voxel_downsample(merged, atlas.params.d_voxel)
         target.scan_count += 1
         target.last_update_t = int(t_ref)
         target._nn_index = None
@@ -186,7 +186,7 @@ def update_atlas(
                 submap_id=next_id,
                 anchor=pose,
                 attitude_signature=(roll, pitch),
-                cloud=voxel_downsample(world, atlas.d_voxel),
+                cloud=voxel_downsample(world, atlas.params.d_voxel),
                 scan_count=1,
                 last_update_t=int(t_ref),
             )

@@ -11,31 +11,14 @@ Points near the tilt axis survive; the far field is culled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import AllPointsRejected
 from .frontend import PointCloud
 from .geometry import RelativeTilt
-
-
-@dataclass(frozen=True)
-class TiltGateParams:
-    """gamma: Cauchy scale (m); tau_tilt: weight cutoff in (0, 1];
-    theta_tilt: tilt magnitude (deg) below which the gate passes through."""
-
-    gamma: float = 3.5
-    tau_tilt: float = 0.8
-    theta_tilt: float = 3.0
-
-    def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        if not 0.0 < self.tau_tilt <= 1.0:
-            raise ValueError("tau_tilt must lie in (0, 1]")
-        if self.theta_tilt < 0.0:
-            raise ValueError("theta_tilt must be non-negative")
+from .params import Params
 
 
 def _tilt_matrix(tilt: RelativeTilt) -> np.ndarray:
@@ -73,7 +56,7 @@ def cauchy_weight(delta_d, gamma: float):
 
 
 def tilt_filter(
-    cloud: PointCloud, tilt: RelativeTilt, params: TiltGateParams
+    cloud: PointCloud, tilt: RelativeTilt, params: Params
 ) -> PointCloud:
     """Drop points whose tilt-induced vertical displacement weight falls
     below tau_tilt; surviving points carry their weights.

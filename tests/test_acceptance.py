@@ -24,7 +24,8 @@ from tiltro.io import (
     read_rte_csv,
     read_trajectory_csv,
 )
-from tiltro.registration import IcpConfig, icp_point_to_point
+from tiltro.params import Params
+from tiltro.registration import icp_point_to_point
 from tiltro.sim import (
     ImuModel,
     PathSegment,
@@ -36,7 +37,6 @@ from tiltro.sim import (
     tilt_step_course,
 )
 from tiltro.tilt_gate import (
-    TiltGateParams,
     cauchy_weight,
     tilt_filter,
     vertical_displacement,
@@ -125,7 +125,7 @@ def test_criterion_1_extraction_matches_bruteforce_oracle():
 
 def test_criterion_2_weight_algebra_and_kept_set():
     assert cauchy_weight(3.5, 3.5) == 0.5
-    params = TiltGateParams()  # gamma 3.5, tau_tilt 0.8
+    params = Params()  # gamma 3.5, tau_tilt 0.8
     cutoff = params.gamma * math.sqrt(1.0 / params.tau_tilt - 1.0)
     assert cutoff == 1.75  # the defaults put the cut at exactly 1.75 m
 
@@ -150,7 +150,7 @@ def test_criterion_3_icp_recovers_random_perturbations():
     # default one-to-many matching carries a small neighborhood-centroid
     # pull on sparse uniform clouds and is covered by the closed-loop
     # criteria instead.
-    cfg = IcpConfig(k_nn=1)
+    cfg = Params(k_nn=1)
     rng = np.random.default_rng(3003)
     successes = 0
     for _ in range(100):

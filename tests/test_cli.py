@@ -14,6 +14,7 @@ from tiltro.io import (
     write_trajectory_csv,
 )
 from tiltro.geometry import quat_array_to_rpy
+from tiltro.registration import NnIndex
 from tiltro.sim import PathSegment, Pole, Scenario
 
 
@@ -91,6 +92,29 @@ def test_ablation_flags_accepted(chain):
     assert len(t) > 60
 
 
+def test_run_config_reaches_icp(chain, tmp_path, monkeypatch):
+    ks = []
+    query = NnIndex.query
+
+    def spying(self, queries, k):
+        ks.append(k)
+        return query(self, queries, k)
+
+    monkeypatch.setattr(NnIndex, "query", spying)
+    cfg = tmp_path / "config.txt"
+    cfg.write_text("static_window_s = 1.5\nk_nn = 2\nmax_iterations = 1\n",
+                   encoding="utf-8")
+    diag = tmp_path / "diag.csv"
+    assert main(["run", "--dataset", str(chain / "ds"), "--config", str(cfg),
+                 "--out", str(tmp_path / "traj.csv"),
+                 "--diagnostics", str(diag)]) == 0
+    assert ks and set(ks) == {2}
+    header, *rows = diag.read_text().splitlines()
+    column = header.split(",").index("icp_iterations")
+    iterations = {int(row.split(",")[column]) for row in rows}
+    assert iterations == {0, 1}  # ICP ran, and never past the one iteration
+
+
 def test_eval_of_truth_against_itself_is_zero(chain, tmp_path):
     gt_csv = chain / "ds" / "ground_truth.csv"
     t, pos, quats = read_ground_truth_csv(gt_csv)
@@ -139,12 +163,14 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(bad),
                  "--out", str(tmp_path / "ds")]) == 2
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("bogus_key = 1\n", encoding="utf-8")
-    assert main(["run", "--dataset", str(tmp_path / "ds"),
-                 "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+    for text in ("bogus_key = 1\n", "gamma = nan\n"):
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["run", "--dataset", str(tmp_path / "ds"),
+                     "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error" in captured.err
+    assert f"{cfg}: gamma must be finite" in captured.err
 
 
 def test_eval_rejects_too_short_overlap(chain, tmp_path, capsys):

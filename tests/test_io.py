@@ -2,9 +2,12 @@
 
 import math
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tiltro.attitude import ImuSample
 from tiltro.errors import (
@@ -21,7 +24,6 @@ from tiltro.frontend import PolarScan
 from tiltro.io import (
     GROUND_TRUTH_CSV_HEADER,
     IMU_CSV_HEADER,
-    RunConfig,
     format_run_config,
     ground_truth_trajectory,
     load_dataset,
@@ -38,6 +40,7 @@ from tiltro.io import (
     write_rte_csv,
     write_trajectory_csv,
 )
+from tiltro.params import Params
 
 
 def _scan(seed=0, n_az=5, n_bins=8, t0=1_000_000_000):
@@ -238,22 +241,22 @@ def test_rte_csv_summary_validation(tmp_path):
 
 
 def test_run_config_defaults_and_round_trip():
-    assert parse_run_config("") == RunConfig()
-    cfg = RunConfig(k=6, gamma=2.0, use_point_weights=False, beta=0.05)
-    assert parse_run_config(format_run_config(cfg)) == cfg
+    assert parse_run_config("") == Params()
+    # Pinned text: existing config files must keep their meaning.
+    assert format_run_config(Params()) == (
+        "k = 10\nr_min = 5.0\nr_max = 100.0\ntau_raw = 60.0\nd_voxel = 1.0\n"
+        "theta_tilt = 3.0\ngamma = 3.5\nr_submap = 20.0\ntau_tilt = 0.8\n"
+        "k_nn = 4\nmax_iterations = 40\ntranslation_epsilon = 0.001\n"
+        "rotation_epsilon = 0.0001\nmax_correspondence_distance = 5.0\n"
+        "use_point_weights = true\nbeta = 0.1\nstatic_window_s = 10.0\n"
+    )
+    params = Params(k=6, gamma=2.0, use_point_weights=False, beta=0.05)
+    assert parse_run_config(format_run_config(params)) == params
     text = "# comment\n\n k = 12 \ntau_tilt = 0.5\n"
     got = parse_run_config(text)
     assert got.k == 12
     assert got.tau_tilt == 0.5
     assert got.r_max == 100.0
-
-
-def test_run_config_feeds_parameter_objects():
-    cfg = parse_run_config("k_nn = 2\nmax_iterations = 7\ngamma = 1.5\n")
-    assert cfg.params().gamma == 1.5
-    assert cfg.params().k_nn == 2
-    assert cfg.icp_config().k_nn == 2
-    assert cfg.icp_config().max_iterations == 7
 
 
 def test_run_config_rejects_bad_input():
@@ -266,9 +269,107 @@ def test_run_config_rejects_bad_input():
         ("gamma = -1.0", "gamma"),
         ("beta = -0.1", "beta"),
         ("static_window_s = 0", "static_window_s"),
+        ("d_voxel = nan", "config: d_voxel must be finite"),
+        ("r_submap = inf", "r_submap must be finite"),
+        ("theta_tilt = inf", "theta_tilt must be finite"),
+        ("translation_epsilon = -inf", "translation_epsilon must be finite"),
     ]:
         with pytest.raises(ConfigError, match=frag):
             parse_run_config(text)
+    with pytest.raises(ConfigError, match="run.cfg: beta must be finite"):
+        parse_run_config("beta = nan", "run.cfg")
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+_COUNT = st.integers(min_value=1, max_value=10**6)
+
+
+@st.composite
+def _valid_params(draw):
+    r_min = draw(st.floats(min_value=0.0, max_value=1e300))
+    return Params(
+        k=draw(_COUNT),
+        r_min=r_min,
+        r_max=draw(st.floats(min_value=r_min, exclude_min=True, allow_infinity=False)),
+        tau_raw=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        d_voxel=draw(_POSITIVE),
+        theta_tilt=draw(_NON_NEGATIVE),
+        gamma=draw(_POSITIVE),
+        r_submap=draw(_POSITIVE),
+        tau_tilt=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+        k_nn=draw(_COUNT),
+        max_iterations=draw(_COUNT),
+        translation_epsilon=draw(_POSITIVE),
+        rotation_epsilon=draw(_POSITIVE),
+        max_correspondence_distance=draw(_POSITIVE),
+        use_point_weights=draw(st.booleans()),
+        beta=draw(_NON_NEGATIVE),
+        static_window_s=draw(_POSITIVE),
+    )
+
+
+@given(_valid_params())
+def test_run_config_round_trips_every_valid_params(params):
+    assert parse_run_config(format_run_config(params)) == params
+
+
+_CONFIG_KEYS = [f.name for f in fields(Params)]
+_CONFIG_VALUES = (
+    st.sampled_from(
+        ["nan", "-inf", "inf", "1e999", "true", "False", "0", "-1", "0.5", "4", ""]
+    )
+    | st.floats().map(repr)
+    | st.integers().map(str)
+    | st.text(max_size=8)
+)
+_CONFIG_LINES = (
+    st.tuples(st.sampled_from(_CONFIG_KEYS) | st.text(max_size=8), _CONFIG_VALUES).map(
+        lambda kv: f"{kv[0]} = {kv[1]}"
+    )
+    | st.text(max_size=16)
+)
+
+
+@given(st.lists(_CONFIG_LINES, max_size=8).map("\n".join))
+def test_run_config_parser_raises_only_config_error(text):
+    try:
+        params = parse_run_config(text)
+    except ConfigError:
+        return
+    for f in fields(Params):
+        if f.type == "float":
+            assert math.isfinite(getattr(params, f.name))
+
+
+@pytest.mark.parametrize(
+    "write, read",
+    [
+        (lambda p: write_imu_csv(p, _imu()), read_imu_csv),
+        (
+            lambda p: write_ground_truth_csv(
+                p, [1, 2, 3], np.zeros((3, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
+            ),
+            read_ground_truth_csv,
+        ),
+        (
+            lambda p: write_trajectory_csv(p, [1, 2, 3], *np.zeros((5, 3))),
+            read_trajectory_csv,
+        ),
+        (lambda p: write_rte_csv(p, _report()), read_rte_csv),
+    ],
+    ids=["imu", "ground_truth", "trajectory", "rte"],
+)
+def test_csv_readers_reject_non_finite_numbers(tmp_path, write, read):
+    p = tmp_path / "data.csv"
+    write(p)
+    lines = p.read_text().splitlines()
+    for value in ("nan", "inf", "-inf", "1e999"):
+        bad = lines.copy()
+        bad[2] = bad[2].rsplit(",", 1)[0] + "," + value
+        p.write_text("\n".join(bad) + "\n")
+        with pytest.raises(MalformedRow, match=f"line 3: '{value}' is not a finite"):
+            read(p)
 
 
 def test_dataset_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 """End-to-end tests for the per-scan odometry state machine."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,14 +9,15 @@ import pytest
 from tiltro.attitude import AttitudeTrack
 from tiltro.frontend import PolarScan
 from tiltro.geometry import Pose2, UnitQuat
+from tiltro.params import Params
 from tiltro.pipeline import (
-    Params,
     ScanDiagnostics,
     initial_state,
     predict,
     process_scan,
     run_odometry,
 )
+from tiltro.registration import NnIndex
 from tiltro.sim import PathSegment, Pole, Scenario, simulate
 from tiltro.submaps import Atlas
 
@@ -232,24 +234,52 @@ def test_initial_state_is_origin(perfect_track):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        Params(k=0)
-    with pytest.raises(ValueError):
-        Params(r_min=10.0, r_max=5.0)
-    with pytest.raises(ValueError):
-        Params(d_voxel=0.0)
-    with pytest.raises(ValueError):
-        Params(tau_tilt=1.5)
-    with pytest.raises(ValueError):
-        Params(k_nn=0)
-    with pytest.raises(ValueError, match="gamma"):
-        Params(gamma=0.0)
-    with pytest.raises(ValueError, match="theta_tilt"):
-        Params(theta_tilt=-1.0)
-    with pytest.raises(ValueError, match="tau_tilt"):
-        Params(tau_tilt=0.0)
-    # The cutoff's range is (0, 1], as in TiltGateParams and the README.
-    assert Params(tau_tilt=1.0).gate_params().tau_tilt == 1.0
+    for kwargs, field in [
+        ({"k": 0}, "k"),
+        ({"r_min": 10.0, "r_max": 5.0}, "r_min"),
+        ({"r_min": -1.0}, "r_min"),
+        ({"d_voxel": 0.0}, "d_voxel"),
+        ({"r_submap": 0.0}, "r_submap"),
+        ({"tau_tilt": 1.5}, "tau_tilt"),
+        ({"tau_tilt": 0.0}, "tau_tilt"),
+        ({"k_nn": 0}, "k_nn"),
+        ({"gamma": 0.0}, "gamma"),
+        ({"theta_tilt": -1.0}, "theta_tilt"),
+        ({"max_iterations": 0}, "max_iterations"),
+        ({"translation_epsilon": 0.0}, "translation_epsilon"),
+        ({"rotation_epsilon": 0.0}, "rotation_epsilon"),
+        ({"max_correspondence_distance": -1.0}, "max_correspondence_distance"),
+        ({"beta": -0.1}, "beta"),
+        ({"static_window_s": 0.0}, "static_window_s"),
+    ]:
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            Params(**kwargs)
+    floats = [f.name for f in fields(Params) if f.type == "float"]
+    assert len(floats) == 13
+    for name in floats:
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                Params(**{name: value})
+    # The cutoff's range is (0, 1]; the tilt bound may be zero.
+    Params(tau_tilt=1.0, theta_tilt=0.0, beta=0.0, r_min=0.0)
+
+
+def test_run_odometry_queries_neighbors_with_params_k_nn(
+    straight_sim, perfect_track, monkeypatch
+):
+    ks = []
+    query = NnIndex.query
+
+    def spying(self, queries, k):
+        ks.append(k)
+        return query(self, queries, k)
+
+    monkeypatch.setattr(NnIndex, "query", spying)
+    _, diags = run_odometry(
+        straight_sim.scans[:12], perfect_track, Params(k_nn=1)
+    )
+    assert any(d.hit for d in diags)
+    assert ks and set(ks) == {1}
 
 
 def test_process_scan_queries_attitude_at_most_three_times(

@@ -11,8 +11,8 @@ from hypothesis.extra.numpy import arrays
 from tiltro.errors import EmptyReference, NoCorrespondences
 from tiltro.frontend import PointCloud
 from tiltro.geometry import Pose2
+from tiltro.params import Params
 from tiltro.registration import (
-    IcpConfig,
     build_nn_index,
     build_voxel_index,
     icp_point_to_point,
@@ -174,7 +174,7 @@ def test_icp_identity_fixed_point():
     # local neighborhood centroid, so only k = 1 admits this sharp form.
     rng = np.random.default_rng(54)
     ref = _random_planar(rng, 150)
-    result = icp_point_to_point(ref, ref, Pose2.identity(), IcpConfig(k_nn=1))
+    result = icp_point_to_point(ref, ref, Pose2.identity(), Params(k_nn=1))
     assert result.iterations == 1
     assert math.hypot(result.delta.x, result.delta.y) < 1e-6
     assert abs(result.delta.yaw) < 1e-6
@@ -186,7 +186,7 @@ def test_icp_recovers_known_transform():
     ref = _random_planar(rng, 200)
     move = Pose2(0.8, -0.5, math.radians(4.0))
     src = _transformed(ref, move)
-    result = icp_point_to_point(src, ref, Pose2.identity(), IcpConfig(k_nn=1))
+    result = icp_point_to_point(src, ref, Pose2.identity(), Params(k_nn=1))
     inv = move.inverse()
     assert result.delta.x == pytest.approx(inv.x, abs=0.02)
     assert result.delta.y == pytest.approx(inv.y, abs=0.02)
@@ -224,7 +224,7 @@ def _cost_under(pose, source, reference, cfg):
 
 def test_icp_cost_not_above_prior_cost():
     rng = np.random.default_rng(56)
-    cfg = IcpConfig()
+    cfg = Params()
     for _ in range(10):
         ref = _random_planar(rng, 300)
         move = Pose2(
@@ -288,13 +288,3 @@ def test_icp_empty_inputs_raise():
     with pytest.raises(NoCorrespondences):
         icp_point_to_point(PointCloud.empty("filtered", 0), ref, Pose2.identity())
 
-
-def test_icp_config_validation():
-    with pytest.raises(ValueError):
-        IcpConfig(k_nn=0)
-    with pytest.raises(ValueError):
-        IcpConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        IcpConfig(translation_epsilon=0.0)
-    with pytest.raises(ValueError):
-        IcpConfig(max_correspondence_distance=-1.0)

@@ -118,11 +118,11 @@ def test_find_submap_matches_exhaustive_oracle():
         )
         require_tilt = bool(rng.integers(0, 2))
         roll, pitch, _ = q_now.to_rpy()
-        bound = math.radians(atlas.theta_tilt)
+        bound = math.radians(atlas.params.theta_tilt)
         best_id, best_dist = None, math.inf
         for s in submaps:
             dist = predicted.planar_distance(s.anchor)
-            if dist > atlas.r_submap:
+            if dist > atlas.params.r_submap:
                 continue
             if require_tilt and not (
                 abs(roll - s.attitude_signature[0]) < bound

@@ -8,8 +8,8 @@ import pytest
 from tiltro.errors import AllPointsRejected
 from tiltro.frontend import PointCloud
 from tiltro.geometry import RelativeTilt
+from tiltro.params import Params
 from tiltro.tilt_gate import (
-    TiltGateParams,
     cauchy_weight,
     tilt_filter,
     vertical_displacement,
@@ -90,7 +90,7 @@ def test_tilt_filter_keep_set_matches_closed_form():
     # gamma = 3.5, tau = 0.8 inverts to a keep radius of exactly 1.75 m of
     # vertical displacement.
     rng = np.random.default_rng(43)
-    params = TiltGateParams()
+    params = Params()
     cutoff = params.gamma * math.sqrt(1.0 / params.tau_tilt - 1.0)
     assert cutoff == pytest.approx(1.75)
     for trial in range(5):
@@ -119,14 +119,14 @@ def test_tilt_filter_worked_example():
     tilt = _tilt(13.0)
     d = vertical_displacement(cloud.xyz, tilt)
     np.testing.assert_allclose(d, [0.2250, 1.1248, 2.2495, 8.9980], atol=5e-4)
-    out = tilt_filter(cloud, tilt, TiltGateParams())
+    out = tilt_filter(cloud, tilt, Params())
     assert out.t.tolist() == [0, 1]
     assert out.stage == "filtered"
 
 
 def test_tilt_filter_passthrough_below_activation():
     cloud = _cloud(np.random.default_rng(44).uniform(-40, 40, size=(100, 3)))
-    out = tilt_filter(cloud, _tilt(1.0), TiltGateParams())
+    out = tilt_filter(cloud, _tilt(1.0), Params())
     assert out.stage == "filtered"
     assert len(out) == len(cloud)
     np.testing.assert_array_equal(out.xyz, cloud.xyz)
@@ -138,7 +138,7 @@ def test_tilt_filter_idempotent():
     pts = rng.uniform(-30.0, 30.0, size=(500, 3))
     pts[:, 2] = 0.0
     tilt = _tilt(10.0, (0.0, 1.0, 0.0))
-    params = TiltGateParams()
+    params = Params()
     once = tilt_filter(_cloud(pts), tilt, params)
     twice = tilt_filter(once, tilt, params)
     assert len(twice) == len(once)
@@ -150,7 +150,7 @@ def test_tilt_filter_axis_points_always_kept():
     axis = np.array([0.8, -0.6, 0.0])
     pts = np.outer(np.array([1.0, 5.0, 25.0, -60.0]), axis)
     out = tilt_filter(
-        _cloud(pts), RelativeTilt(axis, math.radians(28.0)), TiltGateParams(tau_tilt=1.0)
+        _cloud(pts), RelativeTilt(axis, math.radians(28.0)), Params(tau_tilt=1.0)
     )
     assert len(out) == 4
     np.testing.assert_allclose(out.weight, np.ones(4), atol=1e-12)
@@ -160,21 +160,10 @@ def test_tilt_filter_rejects_everything_far_from_axis():
     pts = np.zeros((10, 3))
     pts[:, 1] = np.linspace(20.0, 60.0, 10)  # all far from the x axis
     with pytest.raises(AllPointsRejected):
-        tilt_filter(_cloud(pts), _tilt(20.0), TiltGateParams())
+        tilt_filter(_cloud(pts), _tilt(20.0), Params())
 
 
 def test_tilt_filter_requires_deskewed_stage():
     with pytest.raises(ValueError):
-        tilt_filter(_cloud([[1.0, 0.0, 0.0]], stage="raw"), _tilt(5.0), TiltGateParams())
+        tilt_filter(_cloud([[1.0, 0.0, 0.0]], stage="raw"), _tilt(5.0), Params())
 
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        TiltGateParams(gamma=0.0)
-    with pytest.raises(ValueError):
-        TiltGateParams(tau_tilt=0.0)
-    with pytest.raises(ValueError):
-        TiltGateParams(tau_tilt=1.5)
-    with pytest.raises(ValueError):
-        TiltGateParams(theta_tilt=-1.0)
-    TiltGateParams(tau_tilt=1.0)  # boundary allowed
