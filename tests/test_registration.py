@@ -288,3 +288,14 @@ def test_icp_empty_inputs_raise():
     with pytest.raises(NoCorrespondences):
         icp_point_to_point(PointCloud.empty("filtered", 0), ref, Pose2.identity())
 
+
+
+def test_icp_config_validation():
+    with pytest.raises(ValueError):
+        Params(k_nn=0)
+    with pytest.raises(ValueError):
+        Params(max_iterations=0)
+    with pytest.raises(ValueError):
+        Params(translation_epsilon=0.0)
+    with pytest.raises(ValueError):
+        Params(max_correspondence_distance=-1.0)

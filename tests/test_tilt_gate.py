@@ -167,3 +167,15 @@ def test_tilt_filter_requires_deskewed_stage():
     with pytest.raises(ValueError):
         tilt_filter(_cloud([[1.0, 0.0, 0.0]], stage="raw"), _tilt(5.0), Params())
 
+
+
+def test_params_validation():
+    with pytest.raises(ValueError):
+        Params(gamma=0.0)
+    with pytest.raises(ValueError):
+        Params(tau_tilt=0.0)
+    with pytest.raises(ValueError):
+        Params(tau_tilt=1.5)
+    with pytest.raises(ValueError):
+        Params(theta_tilt=-1.0)
+    Params(tau_tilt=1.0)  # boundary allowed
