@@ -51,6 +51,9 @@ print("scenario:", len(scenario.poles), "poles,",
 
 result = simulate(scenario)
 print("rendered", len(result.scans), "scans and", len(result.imu), "IMU samples")
+# The IMU stream is columnar: one row per sample in each array.
+print("  IMU columns: t", result.imu.t.shape, "ns, omega", result.imu.omega.shape,
+      "rad/s, accel", result.imu.accel.shape, "m/s^2")
 
 scan = result.scans[10]
 print("scan 10:", scan.azimuth_count, "azimuths x",

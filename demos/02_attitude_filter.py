@@ -40,7 +40,8 @@ scenario = Scenario(
 
 truth = generate_ground_truth(scenario)
 imu = synthesize_imu(scenario, truth)
-print(f"{len(imu)} IMU samples over {(imu[-1].t - imu[0].t) * 1e-9:.0f} s")
+# The stream is columnar: t (ns), omega (rad/s) and accel (m/s^2) arrays.
+print(f"{len(imu)} IMU samples over {(imu.t[-1] - imu.t[0]) * 1e-9:.0f} s")
 
 # The first segment is a dwell, so the opening window is genuinely static
 # and the turn-on biases can be measured before filtering.

@@ -10,7 +10,8 @@ that need heading use it only for short relative predictions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,16 +37,45 @@ _MAX_STEP_DT = 0.1  # s
 
 
 @dataclass(frozen=True)
-class ImuSample:
-    """One inertial measurement: body rates (rad/s) and specific force (m/s^2)."""
+class ImuStream:
+    """An inertial stream as columns: ``t`` (N,) int64 ns, strictly
+    increasing; ``omega`` (N, 3) body rates (rad/s); ``accel`` (N, 3)
+    specific force (m/s^2).  Row i is one measurement.
+    """
 
-    t: int
+    t: np.ndarray
     omega: np.ndarray
     accel: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
-        object.__setattr__(self, "accel", np.asarray(self.accel, dtype=float))
+        # Read-only C-order copies: a stream cannot change after it was
+        # checked, and run_filter reads its rows as raw doubles.
+        t = np.array(self.t)
+        if t.ndim != 1 or (t.size and t.dtype.kind not in "iu"):
+            raise ValueError(
+                f"ImuStream.t must be a 1-D integer array, got {t.dtype} {t.shape}"
+            )
+        columns = {"t": t.astype(np.int64, copy=False)}
+        for name in ("omega", "accel"):
+            col = np.array(getattr(self, name), dtype=float, order="C")
+            if col.shape != (t.shape[0], 3):
+                raise ValueError(
+                    f"ImuStream.{name} must have shape ({t.shape[0]}, 3), "
+                    f"got {col.shape}"
+                )
+            if not np.isfinite(col).all():
+                raise ValueError(f"ImuStream.{name} must be finite")
+            columns[name] = col
+        stalled = np.diff(columns["t"]) <= 0
+        if stalled.any():
+            row = int(np.argmax(stalled)) + 1
+            raise ValueError(f"ImuStream.t must be strictly increasing (row {row})")
+        for name, col in columns.items():
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+
+    def __len__(self) -> int:
+        return self.t.shape[0]
 
 
 @dataclass(frozen=True)
@@ -62,15 +92,7 @@ class ImuBias:
         return ImuBias(np.zeros(3), np.zeros(3))
 
 
-def stack_samples(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Convert a sample sequence to (t, omega, accel) arrays."""
-    t = np.array([s.t for s in samples], dtype=np.int64)
-    omega = np.array([s.omega for s in samples], dtype=float)
-    accel = np.array([s.accel for s in samples], dtype=float)
-    return t, omega, accel
-
-
-def estimate_bias(samples, window_s: float = 10.0) -> ImuBias:
+def estimate_bias(samples: ImuStream, window_s: float = 10.0) -> ImuBias:
     """Estimate constant sensor biases from an initial static window.
 
     The gyro bias is the mean rate over the window.  The accel bias is the
@@ -86,7 +108,7 @@ def estimate_bias(samples, window_s: float = 10.0) -> ImuBias:
     """
     if len(samples) < 2:
         raise InsufficientData("need at least two samples for bias estimation")
-    t, omega, accel = stack_samples(samples)
+    t, omega, accel = samples.t, samples.omega, samples.accel
     window_ns = int(round(window_s * 1e9))
     if t[-1] - t[0] < window_ns:
         raise InsufficientData(
@@ -156,35 +178,6 @@ def _madgwick_core(
     qz += dz * dt
     inv = 1.0 / math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
     return qw * inv, qx * inv, qy * inv, qz * inv
-
-
-def madgwick_step(
-    q: UnitQuat,
-    omega,
-    accel,
-    dt: float,
-    beta: float = 0.1,
-) -> UnitQuat:
-    """Advance the attitude by one debiased IMU sample.
-
-    ``omega`` is the body rate (rad/s), ``accel`` the specific force
-    (m/s^2).  The gradient correction toward gravity is skipped whenever
-    the accel norm leaves ``ACCEL_NORM_BAND``; with ``beta == 0`` the step
-    reduces to pure gyro integration.
-    """
-    if not 0.0 < dt <= _MAX_STEP_DT:
-        raise ValueError(f"step dt out of (0, {_MAX_STEP_DT}] s: {dt}")
-    if beta < 0.0:
-        raise ValueError("beta must be non-negative")
-    omega = np.asarray(omega, dtype=float)
-    accel = np.asarray(accel, dtype=float)
-    w, x, y, z = _madgwick_core(
-        q.w, q.x, q.y, q.z,
-        omega[0], omega[1], omega[2],
-        accel[0], accel[1], accel[2],
-        dt, beta,
-    )
-    return UnitQuat(w, x, y, z)
 
 
 class AttitudeTrack:
@@ -266,41 +259,39 @@ class AttitudeTrack:
 
 
 def run_filter(
-    samples,
+    samples: ImuStream,
     bias: ImuBias | None = None,
     beta: float = 0.1,
     q0: UnitQuat | None = None,
 ) -> AttitudeTrack:
     """Run the attitude filter over a full debiased IMU stream.
 
-    If ``q0`` is omitted the attitude is warm-started from the first
-    sample's (debiased) specific force.  Sample timestamps must be strictly
-    increasing with gaps no longer than 0.1 s.
+    Each step advances the attitude over one sample interval with that
+    interval's closing body rate; the gradient correction toward gravity
+    (gain ``beta``) is skipped whenever the accel norm leaves
+    ``ACCEL_NORM_BAND``, and ``beta == 0`` is pure gyro integration.  If
+    ``q0`` is omitted the attitude is warm-started from the first sample's
+    (debiased) specific force.  Sample gaps may be no longer than 0.1 s.
     """
     if len(samples) == 0:
         raise InsufficientData("cannot filter an empty IMU stream")
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise ValueError(f"beta must be finite and non-negative, got {beta}")
     bias = bias or ImuBias.zero()
-    t, omega, accel = stack_samples(samples)
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("IMU timestamps must be strictly increasing")
-    omega = omega - bias.gyro
-    accel = accel - bias.accel
+    omega = samples.omega - bias.gyro
+    accel = samples.accel - bias.accel
     if q0 is None:
         q0 = warm_start_attitude(accel[0])
-    quats = np.empty((t.shape[0], 4))
-    qw, qx, qy, qz = q0.w, q0.x, q0.y, q0.z
-    quats[0] = (qw, qx, qy, qz)
-    dts = np.diff(t).astype(float) * 1e-9
+    dts = np.diff(samples.t).astype(float) * 1e-9
     if np.any(dts > _MAX_STEP_DT):
         raise ValueError(f"IMU gap exceeds {_MAX_STEP_DT} s")
-    om = omega
-    ac = accel
-    for i in range(1, t.shape[0]):
-        qw, qx, qy, qz = _madgwick_core(
-            qw, qx, qy, qz,
-            om[i, 0], om[i, 1], om[i, 2],
-            ac[i, 0], ac[i, 1], ac[i, 2],
-            dts[i - 1], beta,
-        )
-        quats[i] = (qw, qx, qy, qz)
-    return AttitudeTrack(t, quats)
+    quats = np.empty((len(samples), 4))
+    q = quats[0] = (q0.w, q0.x, q0.y, q0.z)
+    # One row per step: the closing sample's omega and accel, then dt.
+    # iter_unpack hands out one row at a time as Python floats, which are
+    # several times cheaper than numpy scalars in this loop, without first
+    # turning the whole stream into Python objects as tolist() would.
+    steps = np.column_stack([omega[1:], accel[1:], dts])
+    for i, row in enumerate(struct.iter_unpack("7d", steps), start=1):
+        q = quats[i] = _madgwick_core(*q, *row, beta)
+    return AttitudeTrack(samples.t, quats)

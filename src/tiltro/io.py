@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attitude import ImuSample
+from .attitude import ImuStream
 from .errors import (
     BadMagic,
     ConfigError,
@@ -161,28 +161,26 @@ class _MonotonicCheck:
         self.prev = t
 
 
-def write_imu_csv(path, samples) -> None:
+def write_imu_csv(path, samples: ImuStream) -> None:
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(IMU_CSV_HEADER + "\n")
-        for s in samples:
-            # float() strips the numpy scalar type so repr() emits a plain
-            # shortest-round-trip literal
-            wx, wy, wz = (float(v) for v in s.omega)
-            ax, ay, az = (float(v) for v in s.accel)
-            fh.write(
-                f"{s.t},{wx!r},{wy!r},{wz!r},{ax!r},{ay!r},{az!r}\n"
-            )
+        # tolist() yields plain floats, so repr() emits the shortest
+        # round-trip literal
+        rows = zip(samples.t.tolist(), samples.omega.tolist(), samples.accel.tolist())
+        for t, (wx, wy, wz), (ax, ay, az) in rows:
+            fh.write(f"{t},{wx!r},{wy!r},{wz!r},{ax!r},{ay!r},{az!r}\n")
 
 
-def read_imu_csv(path) -> list[ImuSample]:
+def read_imu_csv(path) -> ImuStream:
     mono = _MonotonicCheck(path)
-    out = []
+    ts, rows = [], []
     for lineno, parts in _read_rows(path, IMU_CSV_HEADER):
         t = _parse_int(path, lineno, parts[0])
         mono.feed(lineno, t)
-        vals = [_parse_float(path, lineno, p) for p in parts[1:]]
-        out.append(ImuSample(t, np.array(vals[0:3]), np.array(vals[3:6])))
-    return out
+        ts.append(t)
+        rows.append([_parse_float(path, lineno, p) for p in parts[1:]])
+    arr = np.array(rows, dtype=float).reshape(len(ts), 6)
+    return ImuStream(np.array(ts, dtype=np.int64), arr[:, 0:3], arr[:, 3:6])
 
 
 def write_ground_truth_csv(path, t, pos, quats) -> None:
@@ -390,7 +388,7 @@ class Dataset:
 
     path: Path
     scans: list[PolarScan]
-    imu: list[ImuSample]
+    imu: ImuStream
     ground_truth_path: Path | None
     scenario_text: str | None
 
@@ -437,9 +435,9 @@ def load_dataset(path) -> Dataset:
                 f"(found {f.name} at position {i})"
             )
     imu = read_imu_csv(imu_path)
-    if not imu:
+    if len(imu) == 0:
         raise FormatError(f"{imu_path}: IMU stream is empty")
-    t_lo, t_hi = imu[0].t, imu[-1].t
+    t_lo, t_hi = imu.t[0], imu.t[-1]
     scans = []
     for f in scan_files:
         scan = read_polar_scan(f)

@@ -120,19 +120,20 @@ def process_scan(
     scan: PolarScan,
     track: AttitudeTrack,
     atlas: Atlas,
-    params: Params = Params(),
     *,
     tilt_gate_enabled: bool = True,
     tilt_search_enabled: bool = True,
     scan_index: int = 0,
 ) -> tuple[OdomState, Atlas, ScanDiagnostics]:
-    """Advance the odometry by one scan.
+    """Advance the odometry by one scan with the run parameters in
+    ``atlas.params``.
 
     Returns the new state, the (mutated) atlas, and a diagnostics record.
     The published timestamp is the scan's earliest azimuth timestamp.  A
     new state is produced for every scan; component errors select the miss
     path instead of propagating.
     """
+    params = atlas.params
     t_scan = scan.t_start
     diag = ScanDiagnostics(
         scan_index=scan_index,
@@ -268,7 +269,6 @@ def run_odometry(
             scan,
             track,
             atlas,
-            params,
             tilt_gate_enabled=tilt_gate_enabled,
             tilt_search_enabled=tilt_search_enabled,
             scan_index=i,

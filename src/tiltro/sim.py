@@ -26,7 +26,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .attitude import GRAVITY, ImuSample
+from .attitude import GRAVITY, ImuStream
 from .errors import InvalidScenario
 from .frontend import PolarScan
 from .geometry import (
@@ -515,7 +515,7 @@ def render_scan(scenario: Scenario, gt: GroundTruth, t_start: int) -> PolarScan:
     return PolarScan(azimuths, t_az, grid.astype(np.uint8), radar.range_resolution)
 
 
-def synthesize_imu(scenario: Scenario, gt: GroundTruth) -> list[ImuSample]:
+def synthesize_imu(scenario: Scenario, gt: GroundTruth) -> ImuStream:
     """Derive an IMU stream from the ground truth.
 
     Body rates come from forward quaternion differences over one IMU period
@@ -567,9 +567,7 @@ def synthesize_imu(scenario: Scenario, gt: GroundTruth) -> list[ImuSample]:
     accel_body = accel_body + np.asarray(imu.accel_bias) + rng.normal(
         0.0, max(sigma_a, 0.0), accel_body.shape
     )
-    return [
-        ImuSample(int(t), omega[i], accel_body[i]) for i, t in enumerate(ts)
-    ]
+    return ImuStream(ts, omega, accel_body)
 
 
 @dataclass(frozen=True)
@@ -582,7 +580,7 @@ class SimResult:
     """
 
     scans: list[PolarScan]
-    imu: list[ImuSample]
+    imu: ImuStream
     gt_t: np.ndarray
     gt_pos: np.ndarray
     gt_quats: np.ndarray
@@ -607,7 +605,7 @@ def simulate(scenario: Scenario, duration: float | None = None) -> SimResult:
     gt = generate_ground_truth(scenario, duration)
     imu = synthesize_imu(scenario, gt)
     period = scenario.radar.period_ns
-    starts = range(gt.t_start, imu[-1].t - period + 1, period)
+    starts = range(gt.t_start, int(imu.t[-1]) - period + 1, period)
     # Each scan draws only from its own RNG streams, and numpy releases the
     # GIL in the noise fill and the large ufuncs, so scans render in parallel
     # and come out identical for any worker count.  The scans are copied on
@@ -619,9 +617,8 @@ def simulate(scenario: Scenario, duration: float | None = None) -> SimResult:
                       s.intensity.copy(), s.range_resolution)
             for s in pool.map(render_scan, repeat(scenario), repeat(gt), starts)
         ]
-    gt_t = np.array([s.t for s in imu], dtype=np.int64)
-    gt_pos, gt_quats = gt.sample(gt_t)
-    return SimResult(scans, imu, gt_t, gt_pos, gt_quats, gt)
+    gt_pos, gt_quats = gt.sample(imu.t)
+    return SimResult(scans, imu, imu.t, gt_pos, gt_quats, gt)
 
 
 # ---------------------------------------------------------------------------

@@ -213,13 +213,11 @@ def test_criterion_4_attitude_tracks_zero_noise_imu():
     # integration: compare stepwise against an exact expmap oracle.
     track0 = run_filter(imu, beta=0.0)
     q = UnitQuat(*track0.quaternions[0])
-    prev_t = imu[0].t
-    for i, s in enumerate(imu[1:], start=1):
-        dt = (s.t - prev_t) * 1e-9
-        prev_t = s.t
-        theta = float(np.linalg.norm(s.omega)) * dt
+    dts = np.diff(imu.t) * 1e-9
+    for i, (dt, omega) in enumerate(zip(dts, imu.omega[1:]), start=1):
+        theta = float(np.linalg.norm(omega)) * dt
         if theta >= 1e-15:
-            q = q * UnitQuat.from_axis_angle(s.omega / np.linalg.norm(s.omega), theta)
+            q = q * UnitQuat.from_axis_angle(omega / np.linalg.norm(omega), theta)
         step_q = UnitQuat(*track0.quaternions[i])
         assert q.angle_to(step_q) <= 1e-6 * i
 

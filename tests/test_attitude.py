@@ -11,17 +11,16 @@ from tiltro import (
     AttitudeTrack,
     ExtrapolationTooFar,
     ImuBias,
-    ImuSample,
+    ImuStream,
     InsufficientData,
     NotStatic,
     UnitQuat,
     estimate_bias,
-    madgwick_step,
     run_filter,
     slerp,
 )
 from tiltro.attitude import EXTRAPOLATION_LIMIT_NS, warm_start_attitude
-from tiltro.geometry import rpy_to_quat_array
+from tiltro.geometry import quat_array_to_rpy, rpy_to_quat_array
 
 _DT = 0.005  # 200 Hz
 
@@ -35,40 +34,50 @@ def _expmap_step(q: UnitQuat, omega: np.ndarray, dt: float) -> UnitQuat:
     return q * UnitQuat.from_axis_angle(axis, theta)
 
 
-def _static_samples(n, accel, omega=(0.0, 0.0, 0.0), dt=_DT, t0=0):
-    step = int(round(dt * 1e9))
-    return [
-        ImuSample(t0 + i * step, np.asarray(omega, float), np.asarray(accel, float))
-        for i in range(n)
-    ]
+def _samples(n, accel, omega=(0.0, 0.0, 0.0), dt=_DT):
+    """n samples at a fixed rate; accel and omega broadcast to (n, 3)."""
+    return ImuStream(
+        np.arange(n, dtype=np.int64) * int(round(dt * 1e9)),
+        np.broadcast_to(np.asarray(omega, float), (n, 3)),
+        np.broadcast_to(np.asarray(accel, float), (n, 3)),
+    )
+
+
+def _steps(q0, n, accel, omega, beta):
+    """Filter attitudes after each of n steps from q0.
+
+    Rows of accel and omega (broadcast to (n, 3)) drive steps 1..n; the
+    stream's first sample only anchors the start time.
+    """
+    def padded(rows):
+        return np.vstack([np.zeros(3), np.broadcast_to(rows, (n, 3))])
+
+    samples = _samples(n + 1, padded(accel), padded(omega))
+    track = run_filter(samples, q0=q0, beta=beta)
+    return [UnitQuat.from_array(q) for q in track.quaternions[1:]]
 
 
 def test_beta_zero_matches_gyro_oracle():
     rng = np.random.default_rng(20)
     q = UnitQuat.from_rpy(0.1, -0.2, 0.4)
     oracle = q
-    accel = np.array([0.0, 0.0, GRAVITY])
-    for i in range(400):
-        omega = rng.uniform(-1.5, 1.5, 3)
-        q = madgwick_step(q, omega, accel, _DT, beta=0.0)
+    omegas = rng.uniform(-1.5, 1.5, (400, 3))
+    steps = _steps(q, 400, [0.0, 0.0, GRAVITY], omegas, 0.0)
+    for i, (omega, step_q) in enumerate(zip(omegas, steps)):
         oracle = _expmap_step(oracle, omega, _DT)
-        assert q.angle_to(oracle) <= 1e-6 * (i + 1)
+        assert step_q.angle_to(oracle) <= 1e-6 * (i + 1)
 
 
 def test_beta_zero_quarter_turn():
-    q = UnitQuat.identity()
     omega = np.array([0.0, 0.0, math.pi / 2])
-    for _ in range(200):
-        q = madgwick_step(q, omega, np.zeros(3), _DT, beta=0.0)
+    q = _steps(UnitQuat.identity(), 200, np.zeros(3), omega, 0.0)[-1]
     _, _, yaw = q.to_rpy()
     assert yaw == pytest.approx(math.pi / 2, abs=1e-3)
 
 
 def test_static_convergence_from_roll_error():
-    q = UnitQuat.from_rpy(math.radians(20.0), 0.0, 0.0)
-    accel = np.array([0.0, 0.0, GRAVITY])
-    for _ in range(2000):  # 10 s at 200 Hz
-        q = madgwick_step(q, np.zeros(3), accel, _DT, beta=0.1)
+    q0 = UnitQuat.from_rpy(math.radians(20.0), 0.0, 0.0)
+    q = _steps(q0, 2000, [0.0, 0.0, GRAVITY], np.zeros(3), 0.1)[-1]  # 10 s at 200 Hz
     roll, pitch, _ = q.to_rpy()
     assert abs(math.degrees(roll)) < 0.5
     assert abs(math.degrees(pitch)) < 0.5
@@ -76,16 +85,13 @@ def test_static_convergence_from_roll_error():
 
 def test_static_convergence_monotone_after_one_second():
     rng = np.random.default_rng(21)
-    accel = np.array([0.0, 0.0, GRAVITY])
     for _ in range(10):
         tilt = rng.uniform(-math.radians(30), math.radians(30), 2)
-        q = UnitQuat.from_rpy(tilt[0], tilt[1], rng.uniform(-math.pi, math.pi))
-        errors = []
-        for i in range(1200):  # 6 s
-            q = madgwick_step(q, np.zeros(3), accel, _DT, beta=0.1)
-            roll, pitch, _ = q.to_rpy()
-            errors.append(math.hypot(roll, pitch))
-        after = np.array(errors[200:])
+        q0 = UnitQuat.from_rpy(tilt[0], tilt[1], rng.uniform(-math.pi, math.pi))
+        samples = _samples(1201, [0.0, 0.0, GRAVITY])  # 6 s
+        track = run_filter(samples, q0=q0, beta=0.1)
+        roll, pitch, _ = quat_array_to_rpy(track.quaternions[1:])
+        after = np.hypot(roll, pitch)[200:]
         # Once converged the discrete gradient correction dithers within a
         # fraction of a milliradian, so allow that much per-step wiggle.
         assert np.all(np.diff(after) <= 1e-3)
@@ -94,54 +100,104 @@ def test_static_convergence_monotone_after_one_second():
 
 def test_yaw_offset_does_not_change_roll_pitch():
     rng = np.random.default_rng(22)
-    samples = []
-    for i in range(600):
-        samples.append(
-            (
-                rng.uniform(-0.5, 0.5, 3),
-                np.array([0.0, 0.0, GRAVITY]) + rng.normal(0, 0.05, 3),
-            )
-        )
+    omega = rng.uniform(-0.5, 0.5, (601, 3))
+    samples = _samples(
+        601, np.array([0.0, 0.0, GRAVITY]) + rng.normal(0, 0.05, (601, 3)), omega
+    )
     qa = UnitQuat.from_rpy(0.1, -0.05, 0.0)
     qb = UnitQuat.from_rpy(0.0, 0.0, math.radians(70)) * qa
-    for omega, accel in samples:
-        qa = madgwick_step(qa, omega, accel, _DT, beta=0.1)
-        qb = madgwick_step(qb, omega, accel, _DT, beta=0.1)
-        ra, pa, _ = qa.to_rpy()
-        rb, pb, _ = qb.to_rpy()
-        assert ra == pytest.approx(rb, abs=1e-6)
-        assert pa == pytest.approx(pb, abs=1e-6)
+    ra, pa, _ = quat_array_to_rpy(run_filter(samples, q0=qa, beta=0.1).quaternions)
+    rb, pb, _ = quat_array_to_rpy(run_filter(samples, q0=qb, beta=0.1).quaternions)
+    np.testing.assert_allclose(ra, rb, rtol=0.0, atol=1e-6)
+    np.testing.assert_allclose(pa, pb, rtol=0.0, atol=1e-6)
 
 
 def test_accel_band_gates_gravity_correction():
     q = UnitQuat.from_rpy(0.2, 0.1, 0.0)
     omega = np.array([0.1, -0.2, 0.05])
     tilted = np.array([1.0, 2.0, 5.0])
+
+    def step(accel, beta):
+        return _steps(q, 1, accel, omega, beta)[0]
+
     for scale in (0.3, 4.0):  # below and above the [0.5 g, 3 g] band
         accel = tilted / np.linalg.norm(tilted) * scale * GRAVITY
-        with_corr = madgwick_step(q, omega, accel, _DT, beta=0.1)
-        gyro_only = madgwick_step(q, omega, accel, _DT, beta=0.0)
-        assert with_corr.angle_to(gyro_only) == 0.0
+        assert step(accel, 0.1).angle_to(step(accel, 0.0)) == 0.0
     in_band = tilted / np.linalg.norm(tilted) * GRAVITY
-    assert madgwick_step(q, omega, in_band, _DT, beta=0.1).angle_to(
-        madgwick_step(q, omega, in_band, _DT, beta=0.0)
-    ) > 0.0
+    assert step(in_band, 0.1).angle_to(step(in_band, 0.0)) > 0.0
 
 
-def test_madgwick_step_validation():
-    q = UnitQuat.identity()
-    with pytest.raises(ValueError):
-        madgwick_step(q, np.zeros(3), np.zeros(3), 0.0)
-    with pytest.raises(ValueError):
-        madgwick_step(q, np.zeros(3), np.zeros(3), 0.2)
-    with pytest.raises(ValueError):
-        madgwick_step(q, np.zeros(3), np.zeros(3), _DT, beta=-0.1)
+def _columns(n=4):
+    return {
+        "t": np.arange(n, dtype=np.int64) * 5_000_000,
+        "omega": np.zeros((n, 3)),
+        "accel": np.tile([0.0, 0.0, GRAVITY], (n, 1)),
+    }
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("omega", np.zeros((3, 3)), r"omega must have shape \(4, 3\)"),
+        ("accel", np.zeros((5, 3)), r"accel must have shape \(4, 3\)"),
+        ("omega", np.zeros((4, 2)), r"omega must have shape \(4, 3\)"),
+        ("accel", np.zeros(12), r"accel must have shape \(4, 3\)"),
+        ("t", np.zeros((4, 1), dtype=np.int64), "t must be a 1-D integer array"),
+        ("t", np.arange(4) * 0.005, "t must be a 1-D integer array"),
+        ("t", np.array([0, 5, 5, 10]), r"t must be strictly increasing \(row 2\)"),
+        ("t", np.array([0, 5, 4, 10]), r"t must be strictly increasing \(row 2\)"),
+    ],
+    ids=[
+        "omega-short", "accel-long", "omega-N-by-2", "accel-flat",
+        "t-2d", "t-float", "t-equal", "t-decreasing",
+    ],
+)
+def test_imu_stream_rejects_bad_columns(field, value, message):
+    columns = _columns()
+    columns[field] = value
+    with pytest.raises(ValueError, match=f"ImuStream.{message}"):
+        ImuStream(**columns)
+
+
+@pytest.mark.parametrize("field", ["omega", "accel"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_imu_stream_rejects_non_finite_values(field, value):
+    columns = _columns()
+    columns[field][2, 1] = value
+    with pytest.raises(ValueError, match=f"ImuStream.{field} must be finite"):
+        ImuStream(**columns)
+
+
+def test_imu_stream_is_columnar():
+    columns = _columns()
+    columns["omega"] = np.asfortranarray(columns["omega"])
+    stream = ImuStream(**columns)
+    assert len(stream) == 4
+    assert stream.t.dtype == np.int64
+    assert stream.omega.shape == stream.accel.shape == (4, 3)
+    # The checked columns are read-only C-order copies; the caller's stay
+    # writable.
+    for name, col in columns.items():
+        assert not getattr(stream, name).flags.writeable
+        assert getattr(stream, name).flags.c_contiguous
+        assert col.flags.writeable
+    assert len(ImuStream([], np.empty((0, 3)), np.empty((0, 3)))) == 0
+
+
+def test_run_filter_validation():
+    samples = _samples(10, [0.0, 0.0, GRAVITY])
+    for beta in (-0.1, -math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match="beta"):
+            run_filter(samples, beta=beta)
+    # Zero (pure gyro integration) and any large finite gain are valid.
+    run_filter(samples, beta=0.0)
+    run_filter(samples, beta=1e6)
 
 
 def test_estimate_bias_recovers_vertical_accel_bias():
     gyro_bias = np.array([0.01, -0.02, 0.005])
     accel = np.array([0.0, 0.0, GRAVITY + 0.08])
-    samples = _static_samples(2400, accel, omega=gyro_bias, dt=_DT)
+    samples = _samples(2400, accel, omega=gyro_bias, dt=_DT)
     bias = estimate_bias(samples, window_s=10.0)
     assert np.allclose(bias.gyro, gyro_bias, atol=1e-12)
     assert np.allclose(bias.accel, [0.0, 0.0, 0.08], atol=1e-9)
@@ -151,7 +207,7 @@ def test_estimate_bias_subtracts_gravity_along_measured_direction():
     # A lateral accel offset is indistinguishable from a resting tilt, so
     # the estimator only removes the component beyond one g along the mean.
     accel = np.array([0.05, -0.03, GRAVITY])
-    samples = _static_samples(2400, accel, dt=_DT)
+    samples = _samples(2400, accel, dt=_DT)
     bias = estimate_bias(samples, window_s=10.0)
     mean = accel
     expected = mean - GRAVITY * mean / np.linalg.norm(mean)
@@ -161,21 +217,14 @@ def test_estimate_bias_subtracts_gravity_along_measured_direction():
 def test_estimate_bias_errors():
     accel = np.array([0.0, 0.0, GRAVITY])
     with pytest.raises(InsufficientData):
-        estimate_bias(_static_samples(1, accel))
+        estimate_bias(_samples(1, accel))
     with pytest.raises(InsufficientData):
-        estimate_bias(_static_samples(400, accel), window_s=10.0)  # 2 s span
+        estimate_bias(_samples(400, accel), window_s=10.0)  # 2 s span
     rng = np.random.default_rng(23)
-    rotating = [
-        ImuSample(
-            i * 5_000_000,
-            rng.uniform(-0.5, 0.5, 3),
-            accel,
-        )
-        for i in range(2400)
-    ]
+    rotating = _samples(2400, accel, omega=rng.uniform(-0.5, 0.5, (2400, 3)))
     with pytest.raises(NotStatic):
         estimate_bias(rotating, window_s=10.0)
-    freefall = _static_samples(2400, np.array([0.0, 0.0, 0.1]))
+    freefall = _samples(2400, np.array([0.0, 0.0, 0.1]))
     with pytest.raises(NotStatic):
         estimate_bias(freefall, window_s=10.0)
 
@@ -195,23 +244,22 @@ def test_warm_start_recovers_static_tilt():
 
 
 def test_run_filter_static_stays_level():
-    samples = _static_samples(1200, np.array([0.0, 0.0, GRAVITY]))
+    samples = _samples(1200, np.array([0.0, 0.0, GRAVITY]))
     track = run_filter(samples)
     assert len(track) == 1200
-    roll, pitch, _ = track.attitude_at(samples[-1].t).to_rpy()
+    roll, pitch, _ = track.attitude_at(samples.t[-1]).to_rpy()
     assert abs(roll) < 1e-6 and abs(pitch) < 1e-6
 
 
 def test_run_filter_validates_timestamps():
     accel = np.array([0.0, 0.0, GRAVITY])
-    bad = [ImuSample(0, np.zeros(3), accel), ImuSample(0, np.zeros(3), accel)]
-    with pytest.raises(ValueError):
-        run_filter(bad)
-    gap = [ImuSample(0, np.zeros(3), accel), ImuSample(200_000_000, np.zeros(3), accel)]
-    with pytest.raises(ValueError):
-        run_filter(gap)
+    # Equal timestamps never reach the filter: the stream rejects them.
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _samples(2, accel, dt=0.0)
+    with pytest.raises(ValueError, match="gap"):
+        run_filter(_samples(2, accel, dt=0.2))
     with pytest.raises(InsufficientData):
-        run_filter([])
+        run_filter(_samples(0, accel))
 
 
 def test_track_query_interpolates_and_guards_extrapolation():

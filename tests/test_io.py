@@ -6,10 +6,11 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from tiltro.attitude import ImuSample
+from tiltro.attitude import ImuStream
 from tiltro.errors import (
     BadMagic,
     ConfigError,
@@ -52,16 +53,12 @@ def _scan(seed=0, n_az=5, n_bins=8, t0=1_000_000_000):
 
 
 def _imu(n=5, t0=999_000_000):
-    out = []
-    for i in range(n):
-        out.append(
-            ImuSample(
-                t0 + i * 5_000_000,
-                np.array([0.1, -1.0 / 3.0, 2.5e-17]) * (i + 1),
-                np.array([0.05, 9.81, -7.25]) + i,
-            )
-        )
-    return out
+    i = np.arange(n)[:, None]
+    return ImuStream(
+        t0 + np.arange(n, dtype=np.int64) * 5_000_000,
+        np.array([0.1, -1.0 / 3.0, 2.5e-17]) * (i + 1),
+        np.array([0.05, 9.81, -7.25]) + i,
+    )
 
 
 def test_scan_round_trip_is_byte_identical(tmp_path):
@@ -139,11 +136,43 @@ def test_imu_csv_round_trip_exact(tmp_path):
     assert p.read_text().splitlines()[0] == IMU_CSV_HEADER
     back = read_imu_csv(p)
     assert len(back) == len(samples)
-    for a, b in zip(samples, back):
-        assert a.t == b.t
-        # repr round trip: equality must be exact, not approximate
-        assert tuple(a.omega) == tuple(b.omega)
-        assert tuple(a.accel) == tuple(b.accel)
+    np.testing.assert_array_equal(back.t, samples.t)
+    # repr round trip: equality must be exact, not approximate
+    assert back.omega.tolist() == samples.omega.tolist()
+    assert back.accel.tolist() == samples.accel.tolist()
+
+
+_EPOCH_NS = 1_760_000_000_000_000_000
+
+
+@st.composite
+def _imu_streams(draw):
+    n = draw(st.integers(0, 12))
+    steps = draw(arrays(np.int64, n, elements=st.integers(1, 10**9)))
+    t0 = draw(st.integers(-(2**61), 2**61) | st.just(_EPOCH_NS))
+    # Any finite double, -0.0 and subnormals included.
+    values = arrays(
+        np.float64, (n, 3), elements=st.floats(allow_nan=False, allow_infinity=False)
+    )
+    return ImuStream(t0 + np.cumsum(steps), draw(values), draw(values))
+
+
+@given(_imu_streams())
+@example(
+    ImuStream(
+        _EPOCH_NS + np.array([0, 1, 5_000_000], dtype=np.int64),
+        [[-0.0, 5e-324, -2.2250738585072014e-308]] * 3,
+        [[1.7976931348623157e308, -0.0, 1e-310]] * 3,
+    )
+)
+def test_imu_csv_round_trip_is_byte_exact(tmp_path_factory, samples):
+    d = tmp_path_factory.mktemp("imu")
+    write_imu_csv(d / "a.csv", samples)
+    back = read_imu_csv(d / "a.csv")
+    write_imu_csv(d / "b.csv", back)
+    assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()
+    for name in ("t", "omega", "accel"):
+        assert getattr(back, name).tobytes() == getattr(samples, name).tobytes()
 
 
 def test_ground_truth_csv_round_trip_exact(tmp_path):

@@ -264,9 +264,9 @@ def test_params_validation():
     Params(tau_tilt=1.0, theta_tilt=0.0, beta=0.0, r_min=0.0)
 
 
-def test_run_odometry_queries_neighbors_with_params_k_nn(
-    straight_sim, perfect_track, monkeypatch
-):
+@pytest.fixture
+def nn_query_ks(monkeypatch):
+    """The k of every nearest-neighbour query made during the test."""
     ks = []
     query = NnIndex.query
 
@@ -275,11 +275,34 @@ def test_run_odometry_queries_neighbors_with_params_k_nn(
         return query(self, queries, k)
 
     monkeypatch.setattr(NnIndex, "query", spying)
+    return ks
+
+
+def test_run_odometry_queries_neighbors_with_params_k_nn(
+    straight_sim, perfect_track, nn_query_ks
+):
     _, diags = run_odometry(
         straight_sim.scans[:12], perfect_track, Params(k_nn=1)
     )
     assert any(d.hit for d in diags)
-    assert ks and set(ks) == {1}
+    assert nn_query_ks and set(nn_query_ks) == {1}
+
+
+def test_process_scan_reads_params_from_the_atlas(
+    straight_sim, perfect_track, nn_query_ks
+):
+    # A direct caller sets the run parameters once, on the atlas.
+    scans = straight_sim.scans[:12]
+    state = initial_state(perfect_track, scans[0].t_start)
+    atlas = Atlas(Params(k_nn=2))
+    hits = []
+    for i, scan in enumerate(scans):
+        state, atlas, diag = process_scan(
+            state, scan, perfect_track, atlas, scan_index=i
+        )
+        hits.append(diag.hit)
+    assert any(hits)
+    assert nn_query_ks and set(nn_query_ks) == {2}
 
 
 def test_process_scan_queries_attitude_at_most_three_times(
