@@ -34,9 +34,7 @@ n = 4000
 r = rng.uniform(5.0, 100.0, n)
 az = rng.uniform(0.0, 2.0 * math.pi, n)
 xyz = np.column_stack([r * np.cos(az), r * np.sin(az), np.zeros(n)])
-cloud = PointCloud(
-    "deskewed", xyz, np.full(n, 120.0), np.zeros(n, dtype=np.int64), np.ones(n), 0
-)
+cloud = PointCloud(xyz, np.zeros(n, dtype=np.int64), np.ones(n))
 
 print("\nkept fraction as pitch grows (cut at", cut, "m of displacement):")
 for pitch_deg in (1.0, 3.0, 5.0, 8.0, 13.0, 20.0):

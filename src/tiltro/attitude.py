@@ -189,7 +189,8 @@ class AttitudeTrack:
     """
 
     def __init__(self, t: np.ndarray, quats: np.ndarray):
-        t = np.asarray(t, dtype=np.int64)
+        # A copy, so freezing it below leaves the caller's array alone.
+        t = np.array(t, dtype=np.int64)
         quats = quat_array_normalize(np.asarray(quats, dtype=float))
         if t.ndim != 1 or quats.shape != (t.shape[0], 4):
             raise ValueError("need matching (N,) timestamps and (N, 4) quaternions")

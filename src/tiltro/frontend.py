@@ -25,8 +25,6 @@ from .geometry import (
 #: Longest allowed azimuth-timestamp span of one scan (one rotation @ >= 3.3 Hz).
 MAX_SCAN_SPAN_NS = 300_000_000
 
-STAGES = ("raw", "deskewed", "filtered")
-
 
 @dataclass
 class PolarScan:
@@ -87,51 +85,27 @@ class PolarScan:
 
 @dataclass
 class PointCloud:
-    """Columnar point cloud with a processing-stage tag.
+    """Columnar point cloud: positions, capture times and weights.
 
-    Stages advance strictly raw -> deskewed -> filtered; the coordinate
-    frame is the capture frame for "raw" and the sensor frame at ``t_ref``
-    afterwards.  ``weight`` defaults to 1 and is populated by tilt gating.
+    ``t`` is each point's capture time (ns), which deskew reads; ``weight``
+    is 1 from extraction and set by the tilt gate for ICP.
     """
 
-    stage: str
     xyz: np.ndarray
-    intensity: np.ndarray
     t: np.ndarray
     weight: np.ndarray
-    t_ref: int
 
     def __post_init__(self):
-        if self.stage not in STAGES:
-            raise ValueError(f"unknown stage {self.stage!r}")
         self.xyz = np.asarray(self.xyz, dtype=float).reshape(-1, 3)
         n = self.xyz.shape[0]
-        self.intensity = np.asarray(self.intensity, dtype=float).reshape(n)
         self.t = np.asarray(self.t, dtype=np.int64).reshape(n)
         self.weight = np.asarray(self.weight, dtype=float).reshape(n)
-
-    @staticmethod
-    def empty(stage: str = "raw", t_ref: int = 0) -> "PointCloud":
-        return PointCloud(
-            stage,
-            np.empty((0, 3)),
-            np.empty(0),
-            np.empty(0, dtype=np.int64),
-            np.empty(0),
-            t_ref,
-        )
 
     def __len__(self) -> int:
         return self.xyz.shape[0]
 
     def subset(self, mask: np.ndarray) -> "PointCloud":
-        return replace(
-            self,
-            xyz=self.xyz[mask],
-            intensity=self.intensity[mask],
-            t=self.t[mask],
-            weight=self.weight[mask],
-        )
+        return PointCloud(self.xyz[mask], self.t[mask], self.weight[mask])
 
 
 def k_strongest(
@@ -171,20 +145,16 @@ def k_strongest(
     # intensities stay in ascending bin order.  Cast before negating: -uint8
     # wraps.
     order = np.lexsort((-vals.astype(np.int16), rows))
-    rows, bins, vals = rows[order], bins[order], vals[order]
+    rows, bins = rows[order], bins[order]
     top = np.arange(rows.size) - np.searchsorted(rows, rows) < k
-    rows, bins, vals = rows[top], bins[top], vals[top]
-    if rows.size == 0:
-        return PointCloud.empty("raw", scan.t_start)
+    rows, bins = rows[top], bins[top]
 
     ranges = centers[bins]
     az = scan.azimuths[rows]
     xyz = np.column_stack(
         [ranges * np.cos(az), ranges * np.sin(az), np.zeros(rows.size)]
     )
-    t = scan.azimuth_timestamps[rows]
-    intensity = vals.astype(float)
-    return PointCloud("raw", xyz, intensity, t, np.ones(rows.size), int(t.min()))
+    return PointCloud(xyz, scan.azimuth_timestamps[rows], np.ones(rows.size))
 
 
 def deskew(cloud: PointCloud, track: AttitudeTrack) -> PointCloud:
@@ -193,14 +163,11 @@ def deskew(cloud: PointCloud, track: AttitudeTrack) -> PointCloud:
     Translation during the sweep is not compensated (attitude-only).  With a
     constant attitude this is an exact identity on the coordinates.
     """
-    if cloud.stage != "raw":
-        raise ValueError(f"deskew expects a raw cloud, got {cloud.stage!r}")
     if len(cloud) == 0:
         raise ValueError("cannot deskew an empty cloud")
     # The earliest point time is unique_t[0], so the reference attitude is
     # row 0 of the one batched query.
     unique_t, inverse = np.unique(cloud.t, return_inverse=True)
-    t_ref = int(unique_t[0])
     quats = track.attitudes_at(unique_t)
     q_ref = quats[:1]
     rel = quat_array_multiply(
@@ -208,4 +175,4 @@ def deskew(cloud: PointCloud, track: AttitudeTrack) -> PointCloud:
     )
     rot = quat_array_to_matrices(rel)
     xyz = np.einsum("nij,nj->ni", rot[inverse], cloud.xyz)
-    return replace(cloud, stage="deskewed", xyz=xyz, t_ref=t_ref)
+    return replace(cloud, xyz=xyz)

@@ -122,11 +122,17 @@ def _read_rows(path, header: str):
 
 def _parse_int(path, lineno: int, text: str) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError as err:
         raise MalformedRow(
             f"{path}: line {lineno}: {text!r} is not an integer"
         ) from err
+    # Every integer column is stored as int64.
+    if not -(2**63) <= value < 2**63:
+        raise MalformedRow(
+            f"{path}: line {lineno}: {text!r} is outside the int64 range"
+        )
+    return value
 
 
 def _parse_float(path, lineno: int, text: str) -> float:

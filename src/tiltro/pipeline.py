@@ -186,10 +186,7 @@ def process_scan(
                 gated = tilt_filter(deskewed, match[1], params)
             except TiltroError:
                 # Gate removed everything: fall back to the ungated cloud.
-                gated = replace(deskewed, stage="filtered")
                 diag.reason = "gate-rejected-all;"
-        else:
-            gated = replace(deskewed, stage="filtered")
         diag.filtered_points = len(gated)
         compact = voxel_downsample(gated, params.d_voxel)
         diag.downsampled_points = len(compact)
@@ -240,7 +237,7 @@ def process_scan(
 
     if deskewed is not None and len(deskewed) > 0:
         matched_id = match[0].submap_id if (hit and match is not None) else None
-        update_atlas(atlas, deskewed, pose, q_now, matched_id, t_ref=t_scan)
+        update_atlas(atlas, deskewed, pose, q_now, matched_id)
     diag.atlas_size = len(atlas)
     return new_state, atlas, diag
 

@@ -34,56 +34,32 @@ class IcpResult:
     matched_fraction: float
 
 
-@dataclass(frozen=True)
-class VoxelGridIndex:
-    """Per-occupied-voxel aggregate of a point cloud.
+def voxel_downsample(cloud: PointCloud, edge: float) -> PointCloud:
+    """One point per occupied voxel (cell floor(p / edge)) at the
+    weight-weighted centroid of its members.
 
-    cells: (M, 3) integer voxel coordinates (floor(p / edge)), unique and
-    lexicographically sorted.  centroid is the weight-weighted mean of the
-    member points; count and mean_weight describe the membership.
+    The output carries each voxel's mean weight and earliest member
+    timestamp.  Output order follows the lexicographically sorted voxel
+    coordinates and is deterministic.
     """
-
-    edge: float
-    cells: np.ndarray
-    centroids: np.ndarray
-    counts: np.ndarray
-    mean_weights: np.ndarray
-    mean_intensity: np.ndarray
-    min_t: np.ndarray
-
-    def __len__(self) -> int:
-        return self.cells.shape[0]
-
-
-def build_voxel_index(cloud: PointCloud, edge: float) -> VoxelGridIndex:
-    """Group a cloud into voxels of the given edge length."""
     if edge <= 0.0:
         raise ValueError("voxel edge must be positive")
     if len(cloud) == 0:
-        empty3 = np.empty((0, 3))
-        return VoxelGridIndex(
-            edge,
-            np.empty((0, 3), dtype=np.int64),
-            empty3,
-            np.empty(0, dtype=np.int64),
-            np.empty(0),
-            np.empty(0),
-            np.empty(0, dtype=np.int64),
-        )
+        return replace(cloud)
     cells = np.floor(cloud.xyz / edge).astype(np.int64)
-    # A voxel starts wherever the lexicographically sorted cells change, so
-    # the cells come out unique and sorted; lexsort on three int64 columns
-    # cannot overflow, unlike a combined 1-D key.
+    # A voxel starts wherever the lexicographically sorted cells change;
+    # lexsort on three int64 columns cannot overflow, unlike a combined 1-D
+    # key.
     order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
     sorted_cells = cells[order]
     starts = np.empty(len(order), dtype=bool)
     starts[0] = True
     np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1, out=starts[1:])
-    unique_cells = sorted_cells[starts]
-    m = unique_cells.shape[0]
+    first = np.flatnonzero(starts)
+    m = first.size
     inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
-    counts = np.bincount(inverse, minlength=m)
+    counts = np.diff(first, append=len(order))
     # Zero-total-weight voxels fall back to unweighted averaging.
     w = cloud.weight
     w_sum = np.bincount(inverse, weights=w, minlength=m)
@@ -96,34 +72,8 @@ def build_voxel_index(cloud: PointCloud, edge: float) -> VoxelGridIndex:
             for i in range(3)
         ]
     ) / eff_sum[:, None]
-    mean_w = w_sum / counts
-    mean_intensity = (
-        np.bincount(inverse, weights=eff_w * cloud.intensity, minlength=m) / eff_sum
-    )
-    min_t = np.full(m, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(min_t, inverse, cloud.t)
-    return VoxelGridIndex(
-        edge, unique_cells, centroids, counts, mean_w, mean_intensity, min_t
-    )
-
-
-def voxel_downsample(cloud: PointCloud, edge: float) -> PointCloud:
-    """One point per occupied voxel at the weighted centroid.
-
-    The output carries each voxel's mean weight, weighted mean intensity
-    and earliest member timestamp; stage and t_ref are preserved.  Output
-    order follows the sorted voxel coordinates and is deterministic.
-    """
-    index = build_voxel_index(cloud, edge)
-    if len(index) == 0:
-        return replace(cloud)
-    return replace(
-        cloud,
-        xyz=index.centroids,
-        intensity=index.mean_intensity,
-        t=index.min_t,
-        weight=index.mean_weights,
-    )
+    min_t = np.minimum.reduceat(cloud.t[order], first)
+    return PointCloud(centroids, min_t, w_sum / counts)
 
 
 class NnIndex:

@@ -39,8 +39,6 @@ class Submap:
     anchor: Pose2
     attitude_signature: tuple[float, float]
     cloud: PointCloud
-    scan_count: int
-    last_update_t: int
     _nn_index: NnIndex | None = field(default=None, repr=False, compare=False)
 
     def nn_index(self) -> NnIndex:
@@ -70,8 +68,9 @@ class Atlas:
         return len(self.submaps)
 
 
-def _tilt_compatible(atlas: Atlas, submap: Submap, q_now: UnitQuat) -> bool:
-    roll, pitch, _ = q_now.to_rpy()
+def _tilt_compatible(
+    atlas: Atlas, submap: Submap, roll: float, pitch: float
+) -> bool:
     sig_roll, sig_pitch = submap.attitude_signature
     bound = math.radians(atlas.params.theta_tilt)
     return abs(roll - sig_roll) < bound and abs(pitch - sig_pitch) < bound
@@ -90,13 +89,14 @@ def find_submap(
     With ``require_tilt=False`` the roll/pitch compatibility check is
     skipped (distance-only ablation mode).
     """
+    roll, pitch, _ = q_now.to_rpy()
     best: Submap | None = None
     best_dist = math.inf
     for submap in atlas.submaps:
         dist = predicted.planar_distance(submap.anchor)
         if dist > atlas.params.r_submap:
             continue
-        if require_tilt and not _tilt_compatible(atlas, submap, q_now):
+        if require_tilt and not _tilt_compatible(atlas, submap, roll, pitch):
             continue
         if dist < best_dist:
             best = submap
@@ -138,7 +138,6 @@ def update_atlas(
     pose: Pose2,
     q_now: UnitQuat,
     matched_id: int | None,
-    t_ref: int | None = None,
 ) -> Atlas:
     """Merge the scan into its matched submap or append a new one.
 
@@ -151,8 +150,8 @@ def update_atlas(
     """
     if len(deskewed) == 0:
         raise ValueError("cannot add an empty cloud to the atlas")
-    t_ref = deskewed.t_ref if t_ref is None else t_ref
     world = lift_to_world(deskewed, pose, q_now)
+    roll, pitch, _ = q_now.to_rpy()
     target: Submap | None = None
     if matched_id is not None:
         for submap in atlas.submaps:
@@ -162,22 +161,16 @@ def update_atlas(
     if (
         target is not None
         and pose.planar_distance(target.anchor) <= atlas.params.r_submap
-        and _tilt_compatible(atlas, target, q_now)
+        and _tilt_compatible(atlas, target, roll, pitch)
     ):
         merged = PointCloud(
-            target.cloud.stage,
             np.vstack([target.cloud.xyz, world.xyz]),
-            np.concatenate([target.cloud.intensity, world.intensity]),
             np.concatenate([target.cloud.t, world.t]),
             np.concatenate([target.cloud.weight, world.weight]),
-            target.cloud.t_ref,
         )
         target.cloud = voxel_downsample(merged, atlas.params.d_voxel)
-        target.scan_count += 1
-        target.last_update_t = int(t_ref)
         target._nn_index = None
     else:
-        roll, pitch, _ = q_now.to_rpy()
         next_id = (
             max((s.submap_id for s in atlas.submaps), default=-1) + 1
         )
@@ -187,8 +180,6 @@ def update_atlas(
                 anchor=pose,
                 attitude_signature=(roll, pitch),
                 cloud=voxel_downsample(world, atlas.params.d_voxel),
-                scan_count=1,
-                last_update_t=int(t_ref),
             )
         )
     return atlas

@@ -11,7 +11,6 @@ Points near the tilt axis survive; the far field is culled.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -61,15 +60,11 @@ def tilt_filter(
     """Drop points whose tilt-induced vertical displacement weight falls
     below tau_tilt; surviving points carry their weights.
 
-    Tilts below theta_tilt (deg) pass the cloud through unchanged (stage
-    advanced).  Raises AllPointsRejected when nothing survives.  The
-    operation is idempotent for a fixed tilt, so already-filtered clouds
-    are accepted as input.
+    Tilts below theta_tilt (deg) return the cloud unchanged.  Raises
+    AllPointsRejected when nothing survives.
     """
-    if cloud.stage not in ("deskewed", "filtered"):
-        raise ValueError(f"tilt_filter expects a deskewed cloud, got {cloud.stage!r}")
     if tilt.angle_deg < params.theta_tilt:
-        return replace(cloud, stage="filtered")
+        return cloud
     displacement = vertical_displacement(cloud.xyz, tilt)
     weight = cauchy_weight(displacement, params.gamma)
     keep = weight >= params.tau_tilt
@@ -78,6 +73,5 @@ def tilt_filter(
             f"tilt of {tilt.angle_deg:.2f} deg rejected all {len(cloud)} points"
         )
     out = cloud.subset(keep)
-    out.stage = "filtered"
     out.weight = weight[keep]
     return out

@@ -10,7 +10,6 @@ import numpy as np
 
 from tiltro import PointCloud, PolarScan
 from tiltro.geometry import quat_array_to_matrices, wrap_angle_array
-from tiltro.registration import VoxelGridIndex
 from tiltro.sim import _deposit
 
 
@@ -33,15 +32,14 @@ def random_cloud(
     n: int,
     extent: float = 50.0,
     planar: bool = True,
-    stage: str = "deskewed",
 ) -> PointCloud:
     """Uniform random points in a centred box, unit weights."""
     xyz = rng.uniform(-extent, extent, size=(n, 3))
     if planar:
         xyz[:, 2] = 0.0
-    intensity = rng.uniform(61.0, 255.0, size=n)
-    t = np.zeros(n, dtype=np.int64)
-    return PointCloud(stage, xyz, intensity, t, np.ones(n), 0)
+    # A discarded draw, so seeded callers keep the clouds they were tuned on.
+    rng.uniform(61.0, 255.0, size=n)
+    return PointCloud(xyz, np.zeros(n, dtype=np.int64), np.ones(n))
 
 
 def brute_force_k_strongest(scan: PolarScan, k, r_min, r_max, tau_raw):
@@ -63,11 +61,26 @@ def brute_force_k_strongest(scan: PolarScan, k, r_min, r_max, tau_raw):
     return out
 
 
-def unique_voxel_index(cloud: PointCloud, edge: float) -> VoxelGridIndex:
-    """Reference voxel grouping through np.unique(axis=0): the cells come
+def scan_points(scan: PolarScan, pairs):
+    """Positions and timestamps of the (azimuth_row, bin) pairs, in order,
+    by the same expressions k_strongest uses, so a correct extraction
+    matches them byte for byte."""
+    rows = np.array([r for r, _ in pairs], dtype=np.intp)
+    bins = np.array([b for _, b in pairs], dtype=np.intp)
+    centers = (np.arange(scan.range_bin_count) + 0.5) * scan.range_resolution
+    ranges = centers[bins]
+    az = scan.azimuths[rows]
+    xyz = np.column_stack(
+        [ranges * np.cos(az), ranges * np.sin(az), np.zeros(rows.size)]
+    )
+    return xyz, scan.azimuth_timestamps[rows]
+
+
+def unique_voxel_downsample(cloud: PointCloud, edge: float) -> PointCloud:
+    """Reference voxel compaction through np.unique(axis=0): the cells come
     out unique and lexicographically sorted, with each point's voxel in the
-    inverse.  The aggregates are the same bincounts as build_voxel_index,
-    so the two agree byte for byte when their groupings do."""
+    inverse.  The aggregates are the same bincounts as voxel_downsample, so
+    the two agree byte for byte when their groupings do."""
     cells = np.floor(cloud.xyz / edge).astype(np.int64)
     unique_cells, inverse = np.unique(cells, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
@@ -84,14 +97,9 @@ def unique_voxel_index(cloud: PointCloud, edge: float) -> VoxelGridIndex:
             for i in range(3)
         ]
     ) / eff_sum[:, None]
-    mean_intensity = (
-        np.bincount(inverse, weights=eff_w * cloud.intensity, minlength=m) / eff_sum
-    )
     min_t = np.full(m, np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(min_t, inverse, cloud.t)
-    return VoxelGridIndex(
-        edge, unique_cells, centroids, counts, w_sum / counts, mean_intensity, min_t
-    )
+    return PointCloud(centroids, min_t, w_sum / counts)
 
 
 def all_pairs_pole_scan(scenario, gt, t_start: int) -> np.ndarray:

@@ -133,10 +133,7 @@ def test_criterion_2_weight_algebra_and_kept_set():
     n = 10_000
     xyz = rng.uniform(-100.0, 100.0, size=(n, 3))
     xyz[:, 2] = 0.0
-    cloud = PointCloud(
-        "deskewed", xyz, np.full(n, 100.0),
-        np.arange(n, dtype=np.int64), np.ones(n), 0,
-    )
+    cloud = PointCloud(xyz, np.arange(n, dtype=np.int64), np.ones(n))
     tilt = RelativeTilt(np.array([0.0, 1.0, 0.0]), math.radians(13.0))
     kept = tilt_filter(cloud, tilt, params)
     dd = vertical_displacement(cloud.xyz, tilt)
@@ -161,9 +158,7 @@ def test_criterion_3_icp_recovers_random_perturbations():
         pert = Pose2(float(dx), float(dy), float(dyaw))
         src_xyz = ref.xyz.copy()
         src_xyz[:, :2] = pert.transform_xy(ref.xyz[:, :2])
-        src = PointCloud(
-            "filtered", src_xyz, ref.intensity, ref.t, ref.weight, 0
-        )
+        src = PointCloud(src_xyz, ref.t, ref.weight)
         t0 = time.perf_counter()
         res = icp_point_to_point(src, ref, Pose2.identity(), cfg)
         elapsed = time.perf_counter() - t0

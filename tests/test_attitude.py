@@ -315,3 +315,12 @@ def test_track_batch_query_rows_equal_single_queries(case):
     batch = track.attitudes_at(ts)
     for i, t in enumerate(ts):
         assert batch[i].tobytes() == track.attitudes_at([t])[0].tobytes()
+
+
+def test_attitude_track_copies_its_timestamps():
+    t = np.array([0, 10], dtype=np.int64)
+    track = AttitudeTrack(t, np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)))
+    assert t.flags.writeable
+    t[1] = 5
+    assert track.timestamps.tolist() == [0, 10]
+    assert not track.timestamps.flags.writeable

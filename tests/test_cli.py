@@ -1,5 +1,6 @@
 """End-to-end tests for the simulate / run / eval command line."""
 
+import shutil
 import subprocess
 import sys
 
@@ -171,6 +172,21 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert captured.out == ""
     assert "error" in captured.err
     assert f"{cfg}: gamma must be finite" in captured.err
+
+
+def test_run_rejects_a_timestamp_outside_int64(chain, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    shutil.copytree(chain / "ds", ds)
+    imu = ds / "imu.csv"
+    lines = imu.read_text(encoding="utf-8").splitlines()
+    lines[-1] = str(2**63) + lines[-1][lines[-1].index(","):]
+    imu.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["run", "--dataset", str(ds), "--config", str(chain / "config.txt"),
+               "--out", str(tmp_path / "t.csv")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"line {len(lines)}: '{2**63}' is outside the int64 range" in captured.err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_eval_rejects_too_short_overlap(chain, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for polar scan validation, k-strongest extraction, and deskewing."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from tiltro.frontend import (
 )
 from tiltro.geometry import UnitQuat
 
-from helpers import brute_force_k_strongest, random_scan
+from helpers import brute_force_k_strongest, random_scan, scan_points
 
 
 def _scan_from_rows(rows, dr=1.0):
@@ -66,11 +67,10 @@ def test_polar_scan_validation():
 def test_k_strongest_worked_example():
     scan = _scan_from_rows([[0, 90, 70, 80, 61, 50]])
     cloud = k_strongest(scan, k=3, r_min=0.5, r_max=10.0, tau_raw=60.0)
-    assert cloud.stage == "raw"
     ranges = np.hypot(cloud.xyz[:, 0], cloud.xyz[:, 1])
     assert ranges == pytest.approx([1.5, 3.5, 2.5])
-    assert list(cloud.intensity) == [90.0, 80.0, 70.0]
     assert np.all(cloud.xyz[:, 2] == 0.0)
+    assert list(cloud.t) == [0, 0, 0]
 
 
 def test_k_strongest_fewer_than_k():
@@ -83,7 +83,7 @@ def test_k_strongest_all_subthreshold_yields_empty():
     scan = _scan_from_rows([[10, 20, 60, 5, 0, 60]])
     cloud = k_strongest(scan, k=3, r_min=0.5, r_max=10.0, tau_raw=60.0)
     assert len(cloud) == 0
-    assert cloud.stage == "raw"
+    assert cloud.xyz.shape == (0, 3)
 
 
 def test_k_strongest_threshold_is_strict():
@@ -91,11 +91,10 @@ def test_k_strongest_threshold_is_strict():
     scan = _scan_from_rows([[60, 61]])
     cloud = k_strongest(scan, k=5, r_min=0.0, r_max=10.0, tau_raw=60.0)
     assert len(cloud) == 1
-    assert cloud.intensity[0] == 61.0
+    assert np.hypot(cloud.xyz[:, 0], cloud.xyz[:, 1]) == pytest.approx([1.5])
     # Below zero every bin qualifies, and zero-intensity bins rank last.
     scan = _scan_from_rows([[0, 5, 0, 7]])
     cloud = k_strongest(scan, k=3, r_min=0.0, r_max=10.0, tau_raw=-0.5)
-    assert list(cloud.intensity) == [7.0, 5.0, 0.0]
     assert np.hypot(cloud.xyz[:, 0], cloud.xyz[:, 1]) == pytest.approx([3.5, 1.5, 0.5])
     # At the top of the uint8 range nothing lies above 255.
     top = _scan_from_rows([[255, 254]])
@@ -181,15 +180,9 @@ def test_k_strongest_matches_brute_force_on_sparse_grids(case):
     cloud = k_strongest(scan, k, r_min, r_max, tau)
     expect = brute_force_k_strongest(scan, k, r_min, r_max, tau)
     assert len(cloud) == len(expect)
-    if not expect:
-        assert cloud.t_ref == scan.t_start
-        return
-    rows, bins = (np.array(col) for col in zip(*expect))
-    got_bins = np.rint(np.hypot(cloud.xyz[:, 0], cloud.xyz[:, 1]) / dr - 0.5)
-    np.testing.assert_array_equal(got_bins.astype(int), bins)
-    np.testing.assert_array_equal(cloud.t, scan.azimuth_timestamps[rows])
-    np.testing.assert_array_equal(cloud.intensity, grid[rows, bins].astype(float))
-    assert cloud.t_ref == int(cloud.t.min())
+    xyz, t = scan_points(scan, expect)
+    assert cloud.xyz.tobytes() == xyz.tobytes()
+    assert cloud.t.tobytes() == t.tobytes()
 
 
 def test_k_strongest_invariants():
@@ -200,11 +193,12 @@ def test_k_strongest_invariants():
     assert len(cloud) <= scan.azimuth_count * k
     ranges = np.hypot(cloud.xyz[:, 0], cloud.xyz[:, 1])
     assert np.all((ranges >= r_min) & (ranges <= r_max))
-    assert np.all(cloud.intensity > tau)
+    rows = np.searchsorted(scan.azimuth_timestamps, cloud.t)
+    bins = np.rint(ranges / scan.range_resolution - 0.5).astype(int)
+    assert np.all(scan.intensity[rows, bins] > tau)
     assert np.all(cloud.xyz[:, 2] == 0.0)
     assert np.all(cloud.weight == 1.0)
-    assert cloud.t_ref == int(cloud.t.min())
-    assert np.all(cloud.t - cloud.t_ref <= MAX_SCAN_SPAN_NS)
+    np.testing.assert_array_equal(scan.azimuth_timestamps[rows], cloud.t)
 
 
 def _track(t_ns, rpys):
@@ -216,10 +210,7 @@ def _track(t_ns, rpys):
 
 def _raw_cloud(xyz, t):
     xyz = np.asarray(xyz, dtype=float)
-    n = xyz.shape[0]
-    return PointCloud(
-        "raw", xyz, np.full(n, 100.0), np.asarray(t, dtype=np.int64), np.ones(n), 0
-    )
+    return PointCloud(xyz, t, np.ones(xyz.shape[0]))
 
 
 def test_deskew_identity_under_constant_track():
@@ -235,11 +226,9 @@ def test_deskew_identity_under_constant_track():
         q.as_array(), abs=1e-12
     )
     out = deskew(cloud, track)
-    assert out.stage == "deskewed"
-    assert out.t_ref == int(t.min())
     np.testing.assert_allclose(out.xyz, cloud.xyz, atol=1e-9)
     np.testing.assert_array_equal(out.t, cloud.t)
-    np.testing.assert_array_equal(out.intensity, cloud.intensity)
+    np.testing.assert_array_equal(out.weight, cloud.weight)
 
 
 def test_deskew_preserves_ranges():
@@ -291,19 +280,25 @@ def test_deskew_pitch_ramp_displaces_z():
 def test_deskew_stage_and_empty_guards():
     track = _track([0, 250_000_000], [(0, 0, 0), (0, 0, 0)])
     cloud = _raw_cloud([[1.0, 0.0, 0.0]], [0])
+    cloud.weight[:] = 0.5
     done = deskew(cloud, track)
-    with pytest.raises(ValueError):
-        deskew(done, track)
-    with pytest.raises(ValueError):
-        deskew(PointCloud.empty("raw", 0), track)
+    # Deskew moves the points and leaves their times and weights alone.
+    np.testing.assert_array_equal(done.t, cloud.t)
+    np.testing.assert_array_equal(done.weight, cloud.weight)
+    with pytest.raises(ValueError, match="empty"):
+        deskew(_raw_cloud(np.empty((0, 3)), []), track)
 
 
 def test_point_cloud_stage_and_subset():
+    # The cloud carries only what the chain reads: deskew reads t, the
+    # tilt gate sets weight, ICP reads xyz and weight.
+    assert [f.name for f in fields(PointCloud)] == ["xyz", "t", "weight"]
+    cloud = PointCloud([1.0, 0, 0, 2.0, 0, 0, 3.0, 0, 0], [0, 1, 2], [1, 1, 1])
+    assert cloud.xyz.shape == (3, 3) and cloud.xyz.dtype == float
+    assert cloud.t.dtype == np.int64 and cloud.weight.dtype == float
     with pytest.raises(ValueError):
-        PointCloud.empty("cooked", 0)
-    cloud = _raw_cloud([[1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]], [0, 1, 2])
+        PointCloud(np.zeros((3, 3)), [0, 1], np.ones(3))
     sub = cloud.subset(np.array([True, False, True]))
     assert len(sub) == 2
-    assert sub.stage == cloud.stage
-    assert sub.t_ref == cloud.t_ref
     np.testing.assert_array_equal(sub.xyz[:, 0], [1.0, 3.0])
+    np.testing.assert_array_equal(sub.t, [0, 2])

@@ -401,6 +401,33 @@ def test_csv_readers_reject_non_finite_numbers(tmp_path, write, read):
             read(p)
 
 
+@pytest.mark.parametrize(
+    "header, width, read, column",
+    [
+        (IMU_CSV_HEADER, 6, read_imu_csv, lambda imu: imu.t),
+        (GROUND_TRUTH_CSV_HEADER, 7, read_ground_truth_csv, lambda gt: gt[0]),
+    ],
+    ids=["imu", "ground_truth"],
+)
+def test_csv_readers_reject_timestamps_outside_int64(tmp_path, header, width, read, column):
+    p = tmp_path / "data.csv"
+
+    def write(*ts):
+        p.write_text(header + "\n" + "".join(f"{t}{',1.0' * width}\n" for t in ts))
+
+    lo, hi = -(2**63), 2**63 - 1
+    write(lo, lo + 1)
+    assert column(read(p)).tolist() == [lo, lo + 1]
+    write(hi - 1, hi)
+    assert column(read(p)).tolist() == [hi - 1, hi]
+    write(hi - 1, hi + 1)
+    with pytest.raises(MalformedRow, match=f"line 3: '{2**63}' is outside the int64"):
+        read(p)
+    write(lo - 1, lo)
+    with pytest.raises(MalformedRow, match=f"line 2: '{-(2**63) - 1}' is outside the int64"):
+        read(p)
+
+
 def test_dataset_round_trip(tmp_path):
     scans = [_scan(seed=i, t0=1_000_000_000 + i * 250_000_000) for i in range(3)]
     imu = _imu(n=200)

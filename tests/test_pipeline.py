@@ -182,9 +182,7 @@ def test_distant_atlas_forces_miss_with_velocity_reset(straight_sim, perfect_tra
     rng = np.random.default_rng(72)
     xyz = rng.uniform(-10.0, 10.0, size=(30, 3))
     xyz[:, 2] = 0.0
-    far = PointCloud(
-        "deskewed", xyz, np.full(30, 100.0), np.zeros(30, dtype=np.int64), np.ones(30), 0
-    )
+    far = PointCloud(xyz, np.zeros(30, dtype=np.int64), np.ones(30))
     update_atlas(atlas, far, Pose2(500.0, 0.0, 0.0), UnitQuat.identity(), None)
 
     new_state, atlas, diag = process_scan(

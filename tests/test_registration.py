@@ -14,22 +14,24 @@ from tiltro.geometry import Pose2
 from tiltro.params import Params
 from tiltro.registration import (
     build_nn_index,
-    build_voxel_index,
     icp_point_to_point,
     voxel_downsample,
 )
 
-from helpers import unique_voxel_index
+from helpers import unique_voxel_downsample
 
 
-def _cloud(xyz, weight=None, t=None, stage="filtered"):
+def _cloud(xyz, weight=None, t=None):
     xyz = np.asarray(xyz, dtype=float).reshape(-1, 3)
     n = xyz.shape[0]
     if weight is None:
         weight = np.ones(n)
     if t is None:
         t = np.arange(n, dtype=np.int64)
-    return PointCloud(stage, xyz, np.full(n, 100.0), t, np.asarray(weight, float), 0)
+    return PointCloud(xyz, t, weight)
+
+
+EMPTY = _cloud(np.empty((0, 3)))
 
 
 def _random_planar(rng, n, extent=50.0):
@@ -61,12 +63,12 @@ def test_voxel_downsample_examples():
 def test_voxel_downsample_mass_and_size():
     rng = np.random.default_rng(51)
     cloud = _random_planar(rng, 800)
-    index = build_voxel_index(cloud, 1.0)
-    assert len(index) <= len(cloud)
-    assert int(index.counts.sum()) == len(cloud)
     out = voxel_downsample(cloud, 1.0)
-    assert len(out) == len(index)
-    assert out.stage == cloud.stage
+    cells = np.unique(np.floor(cloud.xyz).astype(np.int64), axis=0)
+    assert len(out) == len(cells) < len(cloud)
+    # Each centroid stays in its voxel, and the voxels come out sorted.
+    np.testing.assert_array_equal(np.floor(out.xyz).astype(np.int64), cells)
+    np.testing.assert_array_equal(out.weight, np.ones(len(out)))
 
 
 def test_voxel_downsample_idempotent_for_interior_centroids():
@@ -96,10 +98,9 @@ def test_voxel_downsample_weighted_centroid_and_metadata():
 
 
 def test_voxel_downsample_empty_and_validation():
-    empty = PointCloud.empty("filtered", 0)
-    assert len(voxel_downsample(empty, 1.0)) == 0
+    assert len(voxel_downsample(EMPTY, 1.0)) == 0
     with pytest.raises(ValueError):
-        build_voxel_index(empty, 0.0)
+        voxel_downsample(EMPTY, 0.0)
 
 
 @st.composite
@@ -114,20 +115,18 @@ def _voxel_cases(draw):
     weight = draw(
         arrays(np.float64, n, elements=st.floats(0.0, 2.0), fill=st.just(0.0))
     )
-    intensity = draw(arrays(np.float64, n, elements=st.floats(0.0, 255.0)))
     t = draw(arrays(np.int64, n, elements=st.integers(-(2**62), 2**62)))
     edge = draw(st.floats(0.1, 3.0))
-    return PointCloud("filtered", xyz, intensity, t, weight, 0), edge
+    return PointCloud(xyz, t, weight), edge
 
 
 @settings(max_examples=300, deadline=None)
 @given(_voxel_cases())
 def test_build_voxel_index_matches_unique_reference(case):
     cloud, edge = case
-    got = build_voxel_index(cloud, edge)
-    expect = unique_voxel_index(cloud, edge)
-    fields = ("cells", "centroids", "counts", "mean_weights", "mean_intensity", "min_t")
-    for name in fields:
+    got = voxel_downsample(cloud, edge)
+    expect = unique_voxel_downsample(cloud, edge)
+    for name in ("xyz", "t", "weight"):
         a, b = getattr(got, name), getattr(expect, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
@@ -165,7 +164,7 @@ def test_nn_index_matches_brute_force():
 
 def test_nn_index_empty_reference():
     with pytest.raises(EmptyReference):
-        build_nn_index(PointCloud.empty("filtered", 0))
+        build_nn_index(EMPTY)
 
 
 def test_icp_identity_fixed_point():
@@ -284,9 +283,9 @@ def test_icp_empty_inputs_raise():
     rng = np.random.default_rng(59)
     ref = _random_planar(rng, 50)
     with pytest.raises(EmptyReference):
-        icp_point_to_point(ref, PointCloud.empty("filtered", 0), Pose2.identity())
+        icp_point_to_point(ref, EMPTY, Pose2.identity())
     with pytest.raises(NoCorrespondences):
-        icp_point_to_point(PointCloud.empty("filtered", 0), ref, Pose2.identity())
+        icp_point_to_point(EMPTY, ref, Pose2.identity())
 
 
 

@@ -17,13 +17,11 @@ from tiltro.submaps import (
 )
 
 
-def _cloud(n=20, seed=0, stage="deskewed"):
+def _cloud(n=20, seed=0):
     rng = np.random.default_rng(seed)
     xyz = rng.uniform(-10.0, 10.0, size=(n, 3))
     xyz[:, 2] = 0.0
-    return PointCloud(
-        stage, xyz, np.full(n, 100.0), np.zeros(n, dtype=np.int64), np.ones(n), 0
-    )
+    return PointCloud(xyz, np.zeros(n, dtype=np.int64), np.ones(n))
 
 
 def _submap(sid, x, y, roll=0.0, pitch=0.0):
@@ -32,8 +30,6 @@ def _submap(sid, x, y, roll=0.0, pitch=0.0):
         anchor=Pose2(x, y, 0.0),
         attitude_signature=(roll, pitch),
         cloud=_cloud(seed=sid),
-        scan_count=1,
-        last_update_t=0,
     )
 
 
@@ -157,14 +153,12 @@ def test_update_atlas_creates_on_miss():
     atlas = Atlas()
     pose = Pose2(2.0, 1.0, 0.4)
     q = UnitQuat.from_rpy(0.02, -0.05, 0.4)
-    update_atlas(atlas, _cloud(), pose, q, matched_id=None, t_ref=777)
+    update_atlas(atlas, _cloud(), pose, q, matched_id=None)
     assert len(atlas) == 1
     s = atlas.submaps[0]
     assert s.submap_id == 0
-    assert s.scan_count == 1
     assert s.anchor == pose
     assert s.attitude_signature == pytest.approx((0.02, -0.05), abs=1e-9)
-    assert s.last_update_t == 777
     assert len(s.cloud) > 0
 
 
@@ -172,12 +166,13 @@ def test_update_atlas_merges_nearby_compatible_scan():
     atlas = Atlas()
     update_atlas(atlas, _cloud(seed=1), Pose2.identity(), _level(), None)
     sig_before = atlas.submaps[0].attitude_signature
+    cloud_before = atlas.submaps[0].cloud
     q_close = UnitQuat.from_rpy(math.radians(1.0), math.radians(-2.0), 0.1)
-    update_atlas(atlas, _cloud(seed=2), Pose2(3.0, 0.0, 0.1), q_close, matched_id=0, t_ref=5)
+    update_atlas(atlas, _cloud(seed=2), Pose2(3.0, 0.0, 0.1), q_close, matched_id=0)
     assert len(atlas) == 1
     s = atlas.submaps[0]
-    assert s.scan_count == 2
-    assert s.last_update_t == 5
+    assert s.cloud is not cloud_before
+    assert len(s.cloud) > len(cloud_before)
     # Signature and anchor stay at their founding values.
     assert s.attitude_signature == sig_before
     assert s.anchor == Pose2.identity()
@@ -186,9 +181,10 @@ def test_update_atlas_merges_nearby_compatible_scan():
 def test_update_atlas_new_submap_beyond_radius():
     atlas = Atlas()
     update_atlas(atlas, _cloud(seed=1), Pose2.identity(), _level(), None)
+    first = atlas.submaps[0].cloud
     update_atlas(atlas, _cloud(seed=2), Pose2(25.0, 0.0, 0.0), _level(), matched_id=0)
     assert len(atlas) == 2
-    assert atlas.submaps[0].scan_count == 1
+    assert atlas.submaps[0].cloud is first
     assert atlas.submaps[1].submap_id == 1
     assert atlas.submaps[1].anchor.x == pytest.approx(25.0)
 
@@ -212,13 +208,13 @@ def test_update_atlas_exactly_one_outcome():
             float(rng.uniform(-0.1, 0.1)), float(rng.uniform(-0.1, 0.1)), 0.0
         )
         count_before = len(atlas)
-        scans_before = {s.submap_id: s.scan_count for s in atlas.submaps}
+        clouds_before = {s.submap_id: s.cloud for s in atlas.submaps}
         update_atlas(atlas, _cloud(seed=step), pose, q, matched)
         grew = len(atlas) == count_before + 1
         bumped = [
             s.submap_id
             for s in atlas.submaps
-            if s.submap_id in scans_before and s.scan_count == scans_before[s.submap_id] + 1
+            if s.submap_id in clouds_before and s.cloud is not clouds_before[s.submap_id]
         ]
         assert grew != (len(bumped) == 1)  # exactly one of the two outcomes
         ids = [s.submap_id for s in atlas.submaps]
@@ -239,4 +235,4 @@ def test_update_atlas_merge_never_grows_point_count():
 
 def test_update_atlas_rejects_empty_cloud():
     with pytest.raises(ValueError):
-        update_atlas(Atlas(), PointCloud.empty("deskewed", 0), Pose2.identity(), _level(), None)
+        update_atlas(Atlas(), PointCloud(np.empty((0, 3)), [], []), Pose2.identity(), _level(), None)

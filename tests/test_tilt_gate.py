@@ -20,12 +20,10 @@ def _tilt(deg, axis=(1.0, 0.0, 0.0)):
     return RelativeTilt(np.asarray(axis, dtype=float), math.radians(deg))
 
 
-def _cloud(xyz, stage="deskewed"):
+def _cloud(xyz):
     xyz = np.asarray(xyz, dtype=float)
     n = xyz.shape[0]
-    return PointCloud(
-        stage, xyz, np.full(n, 100.0), np.arange(n, dtype=np.int64), np.ones(n), 0
-    )
+    return PointCloud(xyz, np.arange(n, dtype=np.int64), np.ones(n))
 
 
 def test_cauchy_weight_examples():
@@ -121,13 +119,12 @@ def test_tilt_filter_worked_example():
     np.testing.assert_allclose(d, [0.2250, 1.1248, 2.2495, 8.9980], atol=5e-4)
     out = tilt_filter(cloud, tilt, Params())
     assert out.t.tolist() == [0, 1]
-    assert out.stage == "filtered"
 
 
 def test_tilt_filter_passthrough_below_activation():
     cloud = _cloud(np.random.default_rng(44).uniform(-40, 40, size=(100, 3)))
     out = tilt_filter(cloud, _tilt(1.0), Params())
-    assert out.stage == "filtered"
+    assert out is cloud
     assert len(out) == len(cloud)
     np.testing.assert_array_equal(out.xyz, cloud.xyz)
     np.testing.assert_array_equal(out.weight, np.ones(len(cloud)))
@@ -161,11 +158,6 @@ def test_tilt_filter_rejects_everything_far_from_axis():
     pts[:, 1] = np.linspace(20.0, 60.0, 10)  # all far from the x axis
     with pytest.raises(AllPointsRejected):
         tilt_filter(_cloud(pts), _tilt(20.0), Params())
-
-
-def test_tilt_filter_requires_deskewed_stage():
-    with pytest.raises(ValueError):
-        tilt_filter(_cloud([[1.0, 0.0, 0.0]], stage="raw"), _tilt(5.0), Params())
 
 
 
