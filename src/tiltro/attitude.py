@@ -66,7 +66,7 @@ class ImuStream:
             if not np.isfinite(col).all():
                 raise ValueError(f"ImuStream.{name} must be finite")
             columns[name] = col
-        stalled = np.diff(columns["t"]) <= 0
+        stalled = columns["t"][1:] <= columns["t"][:-1]
         if stalled.any():
             row = int(np.argmax(stalled)) + 1
             raise ValueError(f"ImuStream.t must be strictly increasing (row {row})")
@@ -196,7 +196,7 @@ class AttitudeTrack:
             raise ValueError("need matching (N,) timestamps and (N, 4) quaternions")
         if t.shape[0] == 0:
             raise ValueError("attitude track must not be empty")
-        if np.any(np.diff(t) <= 0):
+        if np.any(t[1:] <= t[:-1]):
             raise ValueError("track timestamps must be strictly increasing")
         flips = np.cumsum(np.sum(quats[1:] * quats[:-1], axis=1) < 0.0) % 2
         signs = np.concatenate([[1.0], np.where(flips, -1.0, 1.0)])

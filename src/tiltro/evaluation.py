@@ -38,7 +38,7 @@ class Trajectory:
             object.__setattr__(self, name, arr)
         if t.ndim != 1 or t.shape[0] < 2:
             raise TrajectoryTooShort("trajectory needs at least two samples")
-        if np.any(np.diff(t) <= 0):
+        if np.any(t[1:] <= t[:-1]):
             raise ValueError("trajectory timestamps must be strictly increasing")
 
     def __len__(self) -> int:

@@ -60,9 +60,10 @@ class PolarScan:
             raise ValueError("azimuths must be strictly increasing")
         if self.azimuths[0] < 0.0 or self.azimuths[-1] >= 2.0 * np.pi:
             raise ValueError("azimuths must lie in [0, 2pi)")
-        if np.any(np.diff(self.azimuth_timestamps) < 0):
+        ts = self.azimuth_timestamps
+        if np.any(ts[1:] < ts[:-1]):
             raise ValueError("azimuth timestamps must be non-decreasing")
-        span = int(self.azimuth_timestamps[-1] - self.azimuth_timestamps[0])
+        span = int(ts[-1]) - int(ts[0])
         if span > MAX_SCAN_SPAN_NS:
             raise ValueError(f"azimuth timestamp span {span} ns exceeds one rotation")
         if not math.isfinite(self.range_resolution):
