@@ -1,8 +1,8 @@
 """Rotation and planar-pose primitives shared across the odometry stack.
 
-Conventions: quaternions are Hamilton ``(w, x, y, z)`` and active, so for an
-attitude quaternion ``q.rotate(v)`` maps body coordinates into the parent
-frame.  Euler angles follow the intrinsic ZYX (yaw, pitch, roll) order, i.e.
+Conventions: quaternions are Hamilton ``(w, x, y, z)`` and active, so an
+attitude quaternion's ``rotation_matrix()`` maps body coordinates into the
+parent frame.  Euler angles follow the intrinsic ZYX (yaw, pitch, roll) order, i.e.
 ``R = Rz(yaw) @ Ry(pitch) @ Rx(roll)``.  Planar poses live in SE(2) with yaw
 wrapped to ``(-pi, pi]``.
 """
@@ -16,7 +16,7 @@ import numpy as np
 
 _TWO_PI = 2.0 * math.pi
 _NORM_EPS = 1e-12
-# Interpolation falls back to normalized lerp when the arc is this flat.
+# slerp_array falls back to normalized lerp when the arc is this flat.
 _SLERP_DOT_LIMIT = 0.9995
 
 DEFAULT_TILT_AXIS = np.array([1.0, 0.0, 0.0])
@@ -62,16 +62,6 @@ class UnitQuat:
         return UnitQuat(1.0, 0.0, 0.0, 0.0)
 
     @staticmethod
-    def from_axis_angle(axis, angle: float) -> "UnitQuat":
-        axis = np.asarray(axis, dtype=float)
-        norm = float(np.linalg.norm(axis))
-        if norm < _NORM_EPS:
-            raise ValueError("rotation axis must be nonzero")
-        half = 0.5 * angle
-        s = math.sin(half) / norm
-        return UnitQuat(math.cos(half), axis[0] * s, axis[1] * s, axis[2] * s)
-
-    @staticmethod
     def from_rpy(roll: float, pitch: float, yaw: float) -> "UnitQuat":
         """Build from intrinsic ZYX Euler angles (applied yaw, pitch, roll)."""
         cy, sy = math.cos(0.5 * yaw), math.sin(0.5 * yaw)
@@ -89,9 +79,6 @@ class UnitQuat:
         w, x, y, z = (float(v) for v in np.asarray(arr, dtype=float))
         return UnitQuat(w, x, y, z)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
-
     def __mul__(self, other: "UnitQuat") -> "UnitQuat":
         w1, x1, y1, z1 = self.w, self.x, self.y, self.z
         w2, x2, y2, z2 = other.w, other.x, other.y, other.z
@@ -105,14 +92,6 @@ class UnitQuat:
     def inverse(self) -> "UnitQuat":
         return UnitQuat(self.w, -self.x, -self.y, -self.z)
 
-    def dot(self, other: "UnitQuat") -> float:
-        return (
-            self.w * other.w
-            + self.x * other.x
-            + self.y * other.y
-            + self.z * other.z
-        )
-
     def rotation_matrix(self) -> np.ndarray:
         w, x, y, z = self.w, self.x, self.y, self.z
         return np.array(
@@ -122,11 +101,6 @@ class UnitQuat:
                 [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
             ]
         )
-
-    def rotate(self, vec: np.ndarray) -> np.ndarray:
-        """Rotate a (3,) vector or an (N, 3) stack of vectors."""
-        vec = np.asarray(vec, dtype=float)
-        return vec @ self.rotation_matrix().T
 
     def to_rpy(self) -> tuple[float, float, float]:
         """Return (roll, pitch, yaw); roll is forced to 0 at gimbal lock."""
@@ -141,42 +115,11 @@ class UnitQuat:
         yaw = math.atan2(2.0 * (x * y + w * z), 1.0 - 2.0 * (y * y + z * z))
         return roll, pitch, yaw
 
-    def angle_to(self, other: "UnitQuat") -> float:
-        """Rotation angle in radians separating two attitudes (double-cover aware)."""
-        d = min(1.0, abs(self.dot(other)))
-        return 2.0 * math.acos(d)
-
-    def approx_eq(self, other: "UnitQuat", tol: float = 1e-9) -> bool:
-        return self.angle_to(other) <= tol
-
     def __repr__(self) -> str:
         return (
             f"UnitQuat(w={self.w:.9g}, x={self.x:.9g}, "
             f"y={self.y:.9g}, z={self.z:.9g})"
         )
-
-
-def slerp(q0: UnitQuat, q1: UnitQuat, t: float) -> UnitQuat:
-    """Spherical interpolation along the shorter arc, t in [0, 1].
-
-    Falls back to normalized lerp when the endpoints are nearly parallel
-    (|dot| > 0.9995) to avoid the unstable sin division.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"interpolation parameter out of [0, 1]: {t}")
-    a = q0.as_array()
-    b = q1.as_array()
-    dot = float(a @ b)
-    if dot < 0.0:
-        b = -b
-        dot = -dot
-    if dot > _SLERP_DOT_LIMIT:
-        out = a + t * (b - a)
-    else:
-        theta = math.acos(min(1.0, dot))
-        sin_theta = math.sin(theta)
-        out = (math.sin((1.0 - t) * theta) * a + math.sin(t * theta) * b) / sin_theta
-    return UnitQuat(out[0], out[1], out[2], out[3])
 
 
 @dataclass(frozen=True)
@@ -260,10 +203,6 @@ class Pose2:
         c, s = math.cos(self.yaw), math.sin(self.yaw)
         rot = np.array([[c, -s], [s, c]])
         return points @ rot.T + np.array([self.x, self.y])
-
-    @property
-    def translation(self) -> np.ndarray:
-        return np.array([self.x, self.y])
 
     def planar_distance(self, other: "Pose2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)

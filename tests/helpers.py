@@ -6,11 +6,70 @@ each case is reproducible in isolation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from tiltro import PointCloud, PolarScan
-from tiltro.geometry import quat_array_to_matrices, wrap_angle_array
+from tiltro import PointCloud, PolarScan, UnitQuat
+from tiltro.geometry import _SLERP_DOT_LIMIT, quat_array_to_matrices, wrap_angle_array
 from tiltro.sim import _deposit
+
+
+# Scalar quaternion oracles for the batched quat_array_* and slerp_array
+# paths, and for the attitude filter's closed-form checks.
+
+
+def as_array(q: UnitQuat) -> np.ndarray:
+    return np.array([q.w, q.x, q.y, q.z])
+
+
+def from_axis_angle(axis, angle: float) -> UnitQuat:
+    axis = np.asarray(axis, dtype=float)
+    norm = float(np.linalg.norm(axis))
+    if norm < 1e-12:
+        raise ValueError("rotation axis must be nonzero")
+    half = 0.5 * angle
+    s = math.sin(half) / norm
+    return UnitQuat(math.cos(half), axis[0] * s, axis[1] * s, axis[2] * s)
+
+
+def rotate(q: UnitQuat, vec) -> np.ndarray:
+    """Rotate a (3,) vector or an (N, 3) stack of vectors by q."""
+    return np.asarray(vec, dtype=float) @ q.rotation_matrix().T
+
+
+def angle_to(a: UnitQuat, b: UnitQuat) -> float:
+    """Rotation angle in radians separating two attitudes (double-cover
+    aware)."""
+    dot = a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z
+    return 2.0 * math.acos(min(1.0, abs(dot)))
+
+
+def approx_eq(a: UnitQuat, b: UnitQuat, tol: float = 1e-9) -> bool:
+    return angle_to(a, b) <= tol
+
+
+def slerp(q0: UnitQuat, q1: UnitQuat, t: float) -> UnitQuat:
+    """Spherical interpolation along the shorter arc, t in [0, 1].
+
+    Falls back to normalized lerp when the endpoints are nearly parallel,
+    at the same cutoff as slerp_array, to avoid the unstable sin division.
+    """
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"interpolation parameter out of [0, 1]: {t}")
+    a = as_array(q0)
+    b = as_array(q1)
+    dot = float(a @ b)
+    if dot < 0.0:
+        b = -b
+        dot = -dot
+    if dot > _SLERP_DOT_LIMIT:
+        out = a + t * (b - a)
+    else:
+        theta = math.acos(min(1.0, dot))
+        sin_theta = math.sin(theta)
+        out = (math.sin((1.0 - t) * theta) * a + math.sin(t * theta) * b) / sin_theta
+    return UnitQuat(out[0], out[1], out[2], out[3])
 
 
 def random_scan(

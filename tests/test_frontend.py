@@ -19,7 +19,7 @@ from tiltro.frontend import (
 )
 from tiltro.geometry import UnitQuat
 
-from helpers import brute_force_k_strongest, random_scan, scan_points
+from helpers import as_array, brute_force_k_strongest, random_scan, scan_points
 
 
 def _scan_from_rows(rows, dr=1.0):
@@ -203,7 +203,7 @@ def test_k_strongest_invariants():
 
 def _track(t_ns, rpys):
     quats = np.array(
-        [UnitQuat.from_rpy(*rpy).as_array() for rpy in rpys]
+        [as_array(UnitQuat.from_rpy(*rpy)) for rpy in rpys]
     )
     return AttitudeTrack(np.asarray(t_ns, dtype=np.int64), quats)
 
@@ -223,7 +223,7 @@ def test_deskew_identity_under_constant_track():
     track = _track([-50_000_000, 300_000_000], [(0.1, -0.2, 1.3), (0.1, -0.2, 1.3)])
     # Reconstruct the same quat at both knots so slerp is constant.
     assert track.attitudes_at(np.array([0], dtype=np.int64))[0] == pytest.approx(
-        q.as_array(), abs=1e-12
+        as_array(q), abs=1e-12
     )
     out = deskew(cloud, track)
     np.testing.assert_allclose(out.xyz, cloud.xyz, atol=1e-9)

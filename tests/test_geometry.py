@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tiltro import Pose2, RelativeTilt, UnitQuat, relative_tilt, slerp
+from tiltro import Pose2, RelativeTilt, UnitQuat, relative_tilt
 from tiltro.geometry import (
     quat_array_multiply,
     quat_array_to_rpy,
@@ -12,13 +12,15 @@ from tiltro.geometry import (
     wrap_angle,
 )
 
+from helpers import angle_to, approx_eq, as_array, from_axis_angle, rotate, slerp
+
 
 def test_quat_normalizes_and_canonicalizes_sign():
     q = UnitQuat(-2.0, 0.0, 0.0, 0.0)
     assert q.w == pytest.approx(1.0)
     q = UnitQuat(-0.5, 0.5, 0.5, 0.5)
     assert q.w >= 0.0
-    assert abs(np.linalg.norm(q.as_array()) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(as_array(q)) - 1.0) < 1e-12
 
 
 def test_quat_rejects_near_zero_norm():
@@ -40,9 +42,9 @@ def test_rpy_round_trip_random():
 
 def test_rpy_convention_matches_zyx_composition():
     # Rz(10 deg) * Ry(20 deg) * Rx(5 deg) decomposes back to (5, 20, 10).
-    qx = UnitQuat.from_axis_angle((1, 0, 0), math.radians(5))
-    qy = UnitQuat.from_axis_angle((0, 1, 0), math.radians(20))
-    qz = UnitQuat.from_axis_angle((0, 0, 1), math.radians(10))
+    qx = from_axis_angle((1, 0, 0), math.radians(5))
+    qy = from_axis_angle((0, 1, 0), math.radians(20))
+    qz = from_axis_angle((0, 0, 1), math.radians(10))
     r, p, y = (qz * qy * qx).to_rpy()
     assert math.degrees(r) == pytest.approx(5.0, abs=1e-9)
     assert math.degrees(p) == pytest.approx(20.0, abs=1e-9)
@@ -57,7 +59,7 @@ def test_rotation_matrix_is_orthonormal_and_matches_rotate():
         assert np.allclose(m @ m.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(m) == pytest.approx(1.0)
         v = rng.normal(size=3)
-        assert np.allclose(q.rotate(v), m @ v, atol=1e-12)
+        assert np.allclose(rotate(q, v), m @ v, atol=1e-12)
 
 
 def test_mul_inverse_gives_identity():
@@ -65,15 +67,15 @@ def test_mul_inverse_gives_identity():
     for _ in range(50):
         q = UnitQuat(*rng.normal(size=4))
         ident = q * q.inverse()
-        assert ident.approx_eq(UnitQuat.identity(), tol=1e-7)
+        assert approx_eq(ident, UnitQuat.identity(), tol=1e-7)
 
 
 def test_slerp_endpoints():
     rng = np.random.default_rng(4)
     q0 = UnitQuat(*rng.normal(size=4))
     q1 = UnitQuat(*rng.normal(size=4))
-    assert slerp(q0, q1, 0.0).approx_eq(q0, tol=1e-7)
-    assert slerp(q0, q1, 1.0).approx_eq(q1, tol=1e-7)
+    assert approx_eq(slerp(q0, q1, 0.0), q0, tol=1e-7)
+    assert approx_eq(slerp(q0, q1, 1.0), q1, tol=1e-7)
 
 
 def test_slerp_constant_angular_speed():
@@ -81,9 +83,9 @@ def test_slerp_constant_angular_speed():
     for _ in range(50):
         q0 = UnitQuat(*rng.normal(size=4))
         q1 = UnitQuat(*rng.normal(size=4))
-        total = q0.angle_to(q1)
+        total = angle_to(q0, q1)
         for t in (0.25, 0.5, 0.75):
-            assert q0.angle_to(slerp(q0, q1, t)) == pytest.approx(
+            assert angle_to(q0, slerp(q0, q1, t)) == pytest.approx(
                 t * total, abs=1e-7
             )
 
@@ -116,8 +118,8 @@ def test_relative_tilt_invariant_under_common_yaw():
         a = relative_tilt(qn, qr)
         b = relative_tilt(qy * qn, qy * qr)
         assert b.angle == pytest.approx(a.angle, abs=1e-7)
-        world_a = qr.rotate(a.axis)
-        world_b = (qy * qr).rotate(b.axis)
+        world_a = rotate(qr, a.axis)
+        world_b = rotate(qy * qr, b.axis)
         c, s = math.cos(yaw), math.sin(yaw)
         rotated = np.array(
             [c * world_a[0] - s * world_a[1], s * world_a[0] + c * world_a[1], world_a[2]]
@@ -191,18 +193,18 @@ def test_array_quat_helpers_match_scalar():
     rng = np.random.default_rng(10)
     qa = [UnitQuat(*rng.normal(size=4)) for _ in range(20)]
     qb = [UnitQuat(*rng.normal(size=4)) for _ in range(20)]
-    arr_a = np.array([q.as_array() for q in qa])
-    arr_b = np.array([q.as_array() for q in qb])
+    arr_a = np.array([as_array(q) for q in qa])
+    arr_b = np.array([as_array(q) for q in qb])
     prods = quat_array_multiply(arr_a, arr_b)
     for q1, q2, arr in zip(qa, qb, prods):
-        assert (q1 * q2).approx_eq(UnitQuat.from_array(arr), tol=1e-7)
+        assert approx_eq(q1 * q2, UnitQuat.from_array(arr), tol=1e-7)
     r, p, y = quat_array_to_rpy(arr_a)
     for q, rr, pp, yy in zip(qa, r, p, y):
         sr, sp, sy = q.to_rpy()
         assert (rr, pp, yy) == pytest.approx((sr, sp, sy), abs=1e-12)
     back = rpy_to_quat_array(r, p, y)
     for q, arr in zip(qa, back):
-        assert q.approx_eq(UnitQuat.from_array(arr), tol=1e-7)
+        assert approx_eq(q, UnitQuat.from_array(arr), tol=1e-7)
 
 
 def test_slerp_array_matches_scalar():
@@ -211,9 +213,9 @@ def test_slerp_array_matches_scalar():
     q1 = [UnitQuat(*rng.normal(size=4)) for _ in range(15)]
     ts = rng.uniform(0, 1, 15)
     out = slerp_array(
-        np.array([q.as_array() for q in q0]),
-        np.array([q.as_array() for q in q1]),
+        np.array([as_array(q) for q in q0]),
+        np.array([as_array(q) for q in q1]),
         ts,
     )
     for a, b, t, arr in zip(q0, q1, ts, out):
-        assert slerp(a, b, t).approx_eq(UnitQuat.from_array(arr), tol=1e-7)
+        assert approx_eq(slerp(a, b, t), UnitQuat.from_array(arr), tol=1e-7)

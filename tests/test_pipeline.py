@@ -21,6 +21,8 @@ from tiltro.registration import NnIndex
 from tiltro.sim import PathSegment, Pole, Scenario, simulate
 from tiltro.submaps import Atlas
 
+from helpers import approx_eq
+
 
 def _straight_scenario():
     rng = np.random.default_rng(71)
@@ -197,8 +199,8 @@ def test_distant_atlas_forces_miss_with_velocity_reset(straight_sim, perfect_tra
     assert new_state.pose.x == pytest.approx(1.0 + 1.2 * dt, abs=1e-12)
     assert new_state.pose.y == pytest.approx(2.0 + 0.1 * dt, abs=1e-12)
     # Attitude comes straight from the track.
-    assert new_state.attitude.approx_eq(
-        perfect_track.attitude_at(scan.t_start), tol=1e-9
+    assert approx_eq(
+        new_state.attitude, perfect_track.attitude_at(scan.t_start), tol=1e-9
     )
     assert len(atlas) == 2  # the scan seeded a fresh submap
 
