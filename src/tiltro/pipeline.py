@@ -188,7 +188,7 @@ def process_scan(
                 # Gate removed everything: fall back to the ungated cloud.
                 diag.reason = "gate-rejected-all;"
         diag.filtered_points = len(gated)
-        compact = voxel_downsample(gated, params.d_voxel)
+        compact, compact_w = voxel_downsample(gated.xyz, gated.weight, params.d_voxel)
         diag.downsampled_points = len(compact)
 
         if match is None:
@@ -200,10 +200,10 @@ def process_scan(
             try:
                 result = icp_point_to_point(
                     tilt_lift(compact, q_now),
-                    submap.cloud,
+                    compact_w,
+                    submap.nn_index(),
                     prior,
                     params,
-                    index=submap.nn_index(),
                 )
                 diag.icp_iterations = result.iterations
                 diag.icp_cost = result.final_cost
@@ -235,9 +235,8 @@ def process_scan(
     )
     diag.hit = hit
 
-    if deskewed is not None and len(deskewed) > 0:
-        matched_id = match[0].submap_id if (hit and match is not None) else None
-        update_atlas(atlas, deskewed, pose, q_now, matched_id)
+    if deskewed is not None:
+        update_atlas(atlas, deskewed.xyz, pose, q_now, match[0] if hit else None)
     diag.atlas_size = len(atlas)
     return new_state, atlas, diag
 

@@ -9,13 +9,12 @@ weighted planar alignment with yaw from atan2 over the cross-covariance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import EmptyReference, NoCorrespondences
-from .frontend import PointCloud
 from .geometry import Pose2
 from .params import Params
 
@@ -34,19 +33,22 @@ class IcpResult:
     matched_fraction: float
 
 
-def voxel_downsample(cloud: PointCloud, edge: float) -> PointCloud:
+def voxel_downsample(
+    xyz: np.ndarray, weight: np.ndarray, edge: float
+) -> tuple[np.ndarray, np.ndarray]:
     """One point per occupied voxel (cell floor(p / edge)) at the
-    weight-weighted centroid of its members.
+    weight-weighted centroid of its (N, 3) members.
 
-    The output carries each voxel's mean weight and earliest member
-    timestamp.  Output order follows the lexicographically sorted voxel
-    coordinates and is deterministic.
+    Returns the (M, 3) centroids and each voxel's mean weight.  Under unit
+    weights a centroid is exactly the plain mean of its members.  Output
+    order follows the lexicographically sorted voxel coordinates and is
+    deterministic.
     """
     if edge <= 0.0:
         raise ValueError("voxel edge must be positive")
-    if len(cloud) == 0:
-        return replace(cloud)
-    cells = np.floor(cloud.xyz / edge).astype(np.int64)
+    if len(xyz) == 0:
+        return np.empty((0, 3)), np.empty(0)
+    cells = np.floor(xyz / edge).astype(np.int64)
     # A voxel starts wherever the lexicographically sorted cells change;
     # lexsort on three int64 columns cannot overflow, unlike a combined 1-D
     # key.
@@ -61,23 +63,21 @@ def voxel_downsample(cloud: PointCloud, edge: float) -> PointCloud:
     inverse[order] = np.cumsum(starts) - 1
     counts = np.diff(first, append=len(order))
     # Zero-total-weight voxels fall back to unweighted averaging.
-    w = cloud.weight
-    w_sum = np.bincount(inverse, weights=w, minlength=m)
+    w_sum = np.bincount(inverse, weights=weight, minlength=m)
     zero = w_sum <= 0.0
-    eff_w = np.where(zero[inverse], 1.0, w)
+    eff_w = np.where(zero[inverse], 1.0, weight)
     eff_sum = np.where(zero, counts.astype(float), w_sum)
     centroids = np.column_stack(
         [
-            np.bincount(inverse, weights=eff_w * cloud.xyz[:, i], minlength=m)
+            np.bincount(inverse, weights=eff_w * xyz[:, i], minlength=m)
             for i in range(3)
         ]
     ) / eff_sum[:, None]
-    min_t = np.minimum.reduceat(cloud.t[order], first)
-    return PointCloud(centroids, min_t, w_sum / counts)
+    return centroids, w_sum / counts
 
 
 class NnIndex:
-    """k-nearest-neighbor index over a reference cloud (3D metric)."""
+    """k-nearest-neighbor index over reference points (3D metric)."""
 
     def __init__(self, points: np.ndarray):
         points = np.asarray(points, dtype=float).reshape(-1, 3)
@@ -101,11 +101,10 @@ class NnIndex:
         return dist, idx
 
 
-def build_nn_index(reference: PointCloud) -> NnIndex:
-    """Build a nearest-neighbor index from a reference cloud."""
-    if len(reference) == 0:
-        raise EmptyReference("reference cloud is empty")
-    return NnIndex(reference.xyz)
+def build_nn_index(points: np.ndarray) -> NnIndex:
+    """Build a nearest-neighbor index over (M, 3) reference points; raises
+    EmptyReference when there are none."""
+    return NnIndex(points)
 
 
 def _solve_planar(src: np.ndarray, ref: np.ndarray, w: np.ndarray) -> Pose2:
@@ -141,13 +140,14 @@ def _apply_planar(pose: Pose2, xyz: np.ndarray) -> np.ndarray:
 
 
 def icp_point_to_point(
-    source: PointCloud,
-    reference: PointCloud,
+    source_xyz: np.ndarray,
+    weight: np.ndarray,
+    index: NnIndex,
     prior: Pose2,
     params: Params = Params(),
-    index: NnIndex | None = None,
 ) -> IcpResult:
-    """Align a source cloud to a reference with an SE(2) motion model.
+    """Align (N, 3) source points of the given weights to the reference
+    points of ``index`` with an SE(2) motion model.
 
     Each source point is matched to its k_nn nearest reference points in 3D
     (pairs beyond max_correspondence_distance are dropped, each pair weighted
@@ -157,25 +157,20 @@ def icp_point_to_point(
 
     Returns the correction ``delta`` such that ``delta.compose(prior)`` maps
     source coordinates onto the reference.  Raises NoCorrespondences when
-    fewer than 20% of source points match on the first iteration, and
-    EmptyReference for an empty reference cloud.
+    the source is empty or fewer than 20% of source points match on the
+    first iteration.
     """
-    if len(reference) == 0:
-        raise EmptyReference("reference cloud is empty")
-    if len(source) == 0:
+    n = len(source_xyz)
+    if n == 0:
         raise NoCorrespondences("source cloud is empty")
-    if index is None:
-        index = build_nn_index(reference)
     estimate = prior
-    src_xyz = source.xyz
-    n = src_xyz.shape[0]
-    point_w = source.weight if params.use_point_weights else np.ones(n)
+    point_w = weight if params.use_point_weights else np.ones(n)
     kk = min(params.k_nn, len(index))
     iterations = 0
     final_cost = 0.0
     matched_fraction = 0.0
     for iterations in range(1, params.max_iterations + 1):
-        moved = _apply_planar(estimate, src_xyz)
+        moved = _apply_planar(estimate, source_xyz)
         dist, idx = index.query(moved, kk)
         valid = dist <= params.max_correspondence_distance
         matched_fraction = float(np.any(valid, axis=1).mean())

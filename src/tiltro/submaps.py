@@ -1,27 +1,21 @@
 """Tilt-indexed submap atlas.
 
-Submaps are voxel-compacted world-frame point clouds anchored at the pose of
-their first scan and stamped with the roll/pitch at capture.  Lookup selects
-the closest anchor that is both within the search radius and tilt-compatible
-with the current attitude, so a patch of ground mapped while level is never
-matched against the same patch seen nose-down.  A scan either merges into
-the submap it matched or seeds a new one.
+Submaps are bare world-frame point sets (voxel centroids) anchored at the
+pose of their first scan and stamped with the roll/pitch at capture.  Lookup
+selects the closest anchor that is both within the search radius and
+tilt-compatible with the current attitude, so a patch of ground mapped while
+level is never matched against the same patch seen nose-down.  A scan either
+merges into the submap it matched or seeds a new one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frontend import PointCloud
-from .geometry import (
-    Pose2,
-    RelativeTilt,
-    UnitQuat,
-    relative_tilt,
-)
+from .geometry import Pose2, RelativeTilt, UnitQuat, relative_tilt
 from .params import Params
 from .registration import NnIndex, build_nn_index, voxel_downsample
 
@@ -32,24 +26,20 @@ class Submap:
 
     anchor: planar pose of the founding scan (fixed for the submap's life).
     attitude_signature: (roll, pitch) rad at founding time, also fixed.
-    cloud: voxel-compacted world-frame points.
+    points: (M, 3) world-frame voxel centroids.
     """
 
     submap_id: int
     anchor: Pose2
     attitude_signature: tuple[float, float]
-    cloud: PointCloud
+    points: np.ndarray
     _nn_index: NnIndex | None = field(default=None, repr=False, compare=False)
 
     def nn_index(self) -> NnIndex:
         """Cached nearest-neighbor index; rebuilt lazily after merges."""
         if self._nn_index is None:
-            self._nn_index = build_nn_index(self.cloud)
+            self._nn_index = build_nn_index(self.points)
         return self._nn_index
-
-    def signature_quat(self) -> UnitQuat:
-        roll, pitch = self.attitude_signature
-        return UnitQuat.from_rpy(roll, pitch, 0.0)
 
 
 @dataclass
@@ -103,25 +93,27 @@ def find_submap(
             best_dist = dist
     if best is None:
         return None
-    return best, relative_tilt(q_now, best.signature_quat())
+    signature = UnitQuat.from_rpy(*best.attitude_signature, 0.0)
+    return best, relative_tilt(q_now, signature)
 
 
-def lift_to_world(cloud: PointCloud, pose: Pose2, q_now: UnitQuat) -> PointCloud:
-    """Transform a sensor-frame cloud to the world frame.
+def lift_to_world(xyz: np.ndarray, pose: Pose2, q_now: UnitQuat) -> np.ndarray:
+    """Transform (N, 3) sensor-frame points to the world frame.
 
     The rotation is the planar pose's yaw composed with the roll/pitch of
     ``q_now`` (Rz(yaw) @ Ry(pitch) @ Rx(roll)); the translation is planar.
     """
     roll, pitch, _ = q_now.to_rpy()
     rot = UnitQuat.from_rpy(roll, pitch, pose.yaw).rotation_matrix()
-    xyz = cloud.xyz @ rot.T
-    xyz[:, 0] += pose.x
-    xyz[:, 1] += pose.y
-    return replace(cloud, xyz=xyz)
+    world = xyz @ rot.T
+    world[:, 0] += pose.x
+    world[:, 1] += pose.y
+    return world
 
 
-def tilt_lift(cloud: PointCloud, q_now: UnitQuat) -> PointCloud:
-    """Rotate a sensor-frame cloud by roll/pitch only (no yaw, no shift).
+def tilt_lift(xyz: np.ndarray, q_now: UnitQuat) -> np.ndarray:
+    """Rotate (N, 3) sensor-frame points by roll/pitch only (no yaw, no
+    shift).
 
     Applying a Pose2 on top of the result reproduces ``lift_to_world``; this
     is the form handed to the planar ICP so source and reference elevations
@@ -129,57 +121,43 @@ def tilt_lift(cloud: PointCloud, q_now: UnitQuat) -> PointCloud:
     """
     roll, pitch, _ = q_now.to_rpy()
     rot = UnitQuat.from_rpy(roll, pitch, 0.0).rotation_matrix()
-    return replace(cloud, xyz=cloud.xyz @ rot.T)
+    return xyz @ rot.T
 
 
 def update_atlas(
     atlas: Atlas,
-    deskewed: PointCloud,
+    deskewed: np.ndarray,
     pose: Pose2,
     q_now: UnitQuat,
-    matched_id: int | None,
+    matched: Submap | None,
 ) -> Atlas:
     """Merge the scan into its matched submap or append a new one.
 
-    The deskewed cloud is world-framed via ``pose`` + roll/pitch of
-    ``q_now``.  It merges into the matched submap only while the pose stays
-    within r_submap of that submap's anchor and the tilt signature still
-    agrees component-wise; otherwise a new submap is appended with the
+    The (N, 3) deskewed points are world-framed via ``pose`` + roll/pitch
+    of ``q_now``.  They merge into the matched submap only while the pose
+    stays within r_submap of that submap's anchor and the tilt signature
+    still agrees component-wise; otherwise a new submap is appended with the
     current pose as anchor and the current roll/pitch as signature.  Merges
-    re-run voxel compaction, so cloud density stays bounded.
+    re-run voxel compaction, so the point count stays bounded.  Every point
+    has unit weight (the gate's weights never reach the atlas), so a merged
+    centroid is the plain mean of its voxel's stacked points.
     """
     if len(deskewed) == 0:
         raise ValueError("cannot add an empty cloud to the atlas")
     world = lift_to_world(deskewed, pose, q_now)
     roll, pitch, _ = q_now.to_rpy()
-    target: Submap | None = None
-    if matched_id is not None:
-        for submap in atlas.submaps:
-            if submap.submap_id == matched_id:
-                target = submap
-                break
     if (
-        target is not None
-        and pose.planar_distance(target.anchor) <= atlas.params.r_submap
-        and _tilt_compatible(atlas, target, roll, pitch)
+        matched is not None
+        and pose.planar_distance(matched.anchor) <= atlas.params.r_submap
+        and _tilt_compatible(atlas, matched, roll, pitch)
     ):
-        merged = PointCloud(
-            np.vstack([target.cloud.xyz, world.xyz]),
-            np.concatenate([target.cloud.t, world.t]),
-            np.concatenate([target.cloud.weight, world.weight]),
+        stacked = np.vstack([matched.points, world])
+        matched.points, _ = voxel_downsample(
+            stacked, np.ones(len(stacked)), atlas.params.d_voxel
         )
-        target.cloud = voxel_downsample(merged, atlas.params.d_voxel)
-        target._nn_index = None
+        matched._nn_index = None
     else:
-        next_id = (
-            max((s.submap_id for s in atlas.submaps), default=-1) + 1
-        )
-        atlas.submaps.append(
-            Submap(
-                submap_id=next_id,
-                anchor=pose,
-                attitude_signature=(roll, pitch),
-                cloud=voxel_downsample(world, atlas.params.d_voxel),
-            )
-        )
+        next_id = max((s.submap_id for s in atlas.submaps), default=-1) + 1
+        points, _ = voxel_downsample(world, np.ones(len(world)), atlas.params.d_voxel)
+        atlas.submaps.append(Submap(next_id, pose, (roll, pitch), points))
     return atlas

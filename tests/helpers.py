@@ -135,30 +135,28 @@ def scan_points(scan: PolarScan, pairs):
     return xyz, scan.azimuth_timestamps[rows]
 
 
-def unique_voxel_downsample(cloud: PointCloud, edge: float) -> PointCloud:
+def unique_voxel_downsample(xyz: np.ndarray, weight: np.ndarray, edge: float):
     """Reference voxel compaction through np.unique(axis=0): the cells come
     out unique and lexicographically sorted, with each point's voxel in the
     inverse.  The aggregates are the same bincounts as voxel_downsample, so
-    the two agree byte for byte when their groupings do."""
-    cells = np.floor(cloud.xyz / edge).astype(np.int64)
+    the two agree byte for byte when their groupings do.  Returns the
+    centroids and the mean weights."""
+    cells = np.floor(xyz / edge).astype(np.int64)
     unique_cells, inverse = np.unique(cells, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
     m = unique_cells.shape[0]
     counts = np.bincount(inverse, minlength=m)
-    w = cloud.weight
-    w_sum = np.bincount(inverse, weights=w, minlength=m)
+    w_sum = np.bincount(inverse, weights=weight, minlength=m)
     zero = w_sum <= 0.0
-    eff_w = np.where(zero[inverse], 1.0, w)
+    eff_w = np.where(zero[inverse], 1.0, weight)
     eff_sum = np.where(zero, counts.astype(float), w_sum)
     centroids = np.column_stack(
         [
-            np.bincount(inverse, weights=eff_w * cloud.xyz[:, i], minlength=m)
+            np.bincount(inverse, weights=eff_w * xyz[:, i], minlength=m)
             for i in range(3)
         ]
     ) / eff_sum[:, None]
-    min_t = np.full(m, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(min_t, inverse, cloud.t)
-    return PointCloud(centroids, min_t, w_sum / counts)
+    return centroids, w_sum / counts
 
 
 def all_pairs_pole_scan(scenario, gt, t_start: int) -> np.ndarray:

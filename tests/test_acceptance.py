@@ -25,7 +25,7 @@ from tiltro.io import (
     read_trajectory_csv,
 )
 from tiltro.params import Params
-from tiltro.registration import icp_point_to_point
+from tiltro.registration import build_nn_index, icp_point_to_point
 from tiltro.sim import (
     ImuModel,
     PathSegment,
@@ -164,9 +164,9 @@ def test_criterion_3_icp_recovers_random_perturbations():
         pert = Pose2(float(dx), float(dy), float(dyaw))
         src_xyz = ref.xyz.copy()
         src_xyz[:, :2] = pert.transform_xy(ref.xyz[:, :2])
-        src = PointCloud(src_xyz, ref.t, ref.weight)
         t0 = time.perf_counter()
-        res = icp_point_to_point(src, ref, Pose2.identity(), cfg)
+        index = build_nn_index(ref.xyz)
+        res = icp_point_to_point(src_xyz, ref.weight, index, Pose2.identity(), cfg)
         elapsed = time.perf_counter() - t0
         assert elapsed < 0.1
         inv = pert.inverse()

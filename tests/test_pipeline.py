@@ -178,13 +178,11 @@ def test_distant_atlas_forces_miss_with_velocity_reset(straight_sim, perfect_tra
     )
     atlas = Atlas()
     # Seed a submap far outside r_submap so the search must miss.
-    from tiltro.frontend import PointCloud
     from tiltro.submaps import update_atlas
 
     rng = np.random.default_rng(72)
-    xyz = rng.uniform(-10.0, 10.0, size=(30, 3))
-    xyz[:, 2] = 0.0
-    far = PointCloud(xyz, np.zeros(30, dtype=np.int64), np.ones(30))
+    far = rng.uniform(-10.0, 10.0, size=(30, 3))
+    far[:, 2] = 0.0
     update_atlas(atlas, far, Pose2(500.0, 0.0, 0.0), UnitQuat.identity(), None)
 
     new_state, atlas, diag = process_scan(

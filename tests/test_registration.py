@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tiltro.errors import EmptyReference, NoCorrespondences
-from tiltro.frontend import PointCloud
 from tiltro.geometry import Pose2
 from tiltro.params import Params
 from tiltro.registration import (
@@ -21,54 +20,59 @@ from tiltro.registration import (
 from helpers import unique_voxel_downsample
 
 
-def _cloud(xyz, weight=None, t=None):
-    xyz = np.asarray(xyz, dtype=float).reshape(-1, 3)
-    n = xyz.shape[0]
-    if weight is None:
-        weight = np.ones(n)
-    if t is None:
-        t = np.arange(n, dtype=np.int64)
-    return PointCloud(xyz, t, weight)
+EMPTY = np.empty((0, 3))
 
 
-EMPTY = _cloud(np.empty((0, 3)))
+def _points(xyz):
+    return np.asarray(xyz, dtype=float).reshape(-1, 3)
+
+
+def _compact(xyz, edge=1.0):
+    """Unit-weight voxel compaction."""
+    xyz = _points(xyz)
+    return voxel_downsample(xyz, np.ones(len(xyz)), edge)
+
+
+def _icp(source, reference, prior, params=Params()):
+    """Unit-weight ICP of source points against reference points."""
+    index = build_nn_index(reference)
+    return icp_point_to_point(source, np.ones(len(source)), index, prior, params)
 
 
 def _random_planar(rng, n, extent=50.0):
     xyz = rng.uniform(-extent, extent, size=(n, 3))
     xyz[:, 2] = 0.0
-    return _cloud(xyz)
+    return xyz
 
 
-def _transformed(cloud, pose):
-    xyz = cloud.xyz.copy()
-    xyz[:, :2] = pose.transform_xy(xyz[:, :2])
-    return _cloud(xyz, weight=cloud.weight.copy(), t=cloud.t.copy())
+def _transformed(xyz, pose):
+    out = xyz.copy()
+    out[:, :2] = pose.transform_xy(xyz[:, :2])
+    return out
 
 
 def test_voxel_downsample_examples():
-    one = _cloud([[0.3, 0.7, 0.0]])
-    out = voxel_downsample(one, 1.0)
-    np.testing.assert_allclose(out.xyz, one.xyz)
+    one = _points([[0.3, 0.7, 0.0]])
+    out, _ = _compact(one)
+    np.testing.assert_allclose(out, one)
 
-    pair = _cloud([[0.2, 0.2, 0.0], [0.6, 0.6, 0.0]])
-    out = voxel_downsample(pair, 1.0)
+    out, _ = _compact([[0.2, 0.2, 0.0], [0.6, 0.6, 0.0]])
     assert len(out) == 1
-    np.testing.assert_allclose(out.xyz[0], [0.4, 0.4, 0.0])
+    np.testing.assert_allclose(out[0], [0.4, 0.4, 0.0])
 
-    straddle = _cloud([[0.9, 0.0, 0.0], [1.1, 0.0, 0.0]])
-    assert len(voxel_downsample(straddle, 1.0)) == 2
+    out, _ = _compact([[0.9, 0.0, 0.0], [1.1, 0.0, 0.0]])
+    assert len(out) == 2
 
 
 def test_voxel_downsample_mass_and_size():
     rng = np.random.default_rng(51)
-    cloud = _random_planar(rng, 800)
-    out = voxel_downsample(cloud, 1.0)
-    cells = np.unique(np.floor(cloud.xyz).astype(np.int64), axis=0)
-    assert len(out) == len(cells) < len(cloud)
+    xyz = _random_planar(rng, 800)
+    out, weight = _compact(xyz)
+    cells = np.unique(np.floor(xyz).astype(np.int64), axis=0)
+    assert len(out) == len(cells) < len(xyz)
     # Each centroid stays in its voxel, and the voxels come out sorted.
-    np.testing.assert_array_equal(np.floor(out.xyz).astype(np.int64), cells)
-    np.testing.assert_array_equal(out.weight, np.ones(len(out)))
+    np.testing.assert_array_equal(np.floor(out).astype(np.int64), cells)
+    np.testing.assert_array_equal(weight, np.ones(len(out)))
 
 
 def test_voxel_downsample_idempotent_for_interior_centroids():
@@ -78,29 +82,25 @@ def test_voxel_downsample_idempotent_for_interior_centroids():
     centers = np.unique(rng.integers(-20, 20, size=(100, 3)), axis=0).astype(float) + 0.5
     centers[:, 2] = 0.5
     pts = np.repeat(centers, 3, axis=0) + rng.normal(0.0, 0.05, (centers.shape[0] * 3, 3))
-    once = voxel_downsample(_cloud(pts), 1.0)
-    twice = voxel_downsample(once, 1.0)
+    once, _ = _compact(pts)
+    twice, _ = _compact(once)
     assert len(twice) == len(once)
-    np.testing.assert_allclose(twice.xyz, once.xyz, atol=1e-12)
+    np.testing.assert_allclose(twice, once, atol=1e-12)
 
 
 def test_voxel_downsample_weighted_centroid_and_metadata():
-    cloud = _cloud(
-        [[0.0, 0.0, 0.0], [0.4, 0.0, 0.0]],
-        weight=[3.0, 1.0],
-        t=[50, 20],
-    )
-    out = voxel_downsample(cloud, 1.0)
+    xyz = _points([[0.0, 0.0, 0.0], [0.4, 0.0, 0.0]])
+    out, weight = voxel_downsample(xyz, np.array([3.0, 1.0]), 1.0)
     assert len(out) == 1
-    assert out.xyz[0, 0] == pytest.approx(0.1)  # (3*0 + 1*0.4) / 4
-    assert out.weight[0] == pytest.approx(2.0)
-    assert out.t[0] == 20
+    assert out[0, 0] == pytest.approx(0.1)  # (3*0 + 1*0.4) / 4
+    assert weight[0] == pytest.approx(2.0)
 
 
 def test_voxel_downsample_empty_and_validation():
-    assert len(voxel_downsample(EMPTY, 1.0)) == 0
+    out, weight = _compact(EMPTY)
+    assert out.shape == (0, 3) and weight.shape == (0,)
     with pytest.raises(ValueError):
-        voxel_downsample(EMPTY, 0.0)
+        _compact(EMPTY, 0.0)
 
 
 @st.composite
@@ -115,26 +115,22 @@ def _voxel_cases(draw):
     weight = draw(
         arrays(np.float64, n, elements=st.floats(0.0, 2.0), fill=st.just(0.0))
     )
-    t = draw(arrays(np.int64, n, elements=st.integers(-(2**62), 2**62)))
     edge = draw(st.floats(0.1, 3.0))
-    return PointCloud(xyz, t, weight), edge
+    return xyz, weight, edge
 
 
 @settings(max_examples=300, deadline=None)
 @given(_voxel_cases())
 def test_build_voxel_index_matches_unique_reference(case):
-    cloud, edge = case
-    got = voxel_downsample(cloud, edge)
-    expect = unique_voxel_downsample(cloud, edge)
-    for name in ("xyz", "t", "weight"):
-        a, b = getattr(got, name), getattr(expect, name)
+    got = voxel_downsample(*case)
+    expect = unique_voxel_downsample(*case)
+    for name, a, b in zip(("centroids", "weight"), got, expect):
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
 
 
 def test_nn_index_examples():
-    ref = _cloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
-    index = build_nn_index(ref)
+    index = build_nn_index(_points([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [3.0, 0.0, 0.0]]))
     dist, idx = index.query(np.array([[1.0, 0.0, 0.0]]), 1)
     assert idx[0, 0] == 1
     assert dist[0, 0] == 0.0
@@ -150,7 +146,7 @@ def test_nn_index_matches_brute_force():
     rng = np.random.default_rng(53)
     for n in (5, 200, 2000):
         pts = rng.uniform(-100.0, 100.0, size=(n, 3))
-        index = build_nn_index(_cloud(pts))
+        index = build_nn_index(pts)
         queries = rng.uniform(-110.0, 110.0, size=(50, 3))
         k = min(4, n)
         dist, idx = index.query(queries, k)
@@ -173,7 +169,7 @@ def test_icp_identity_fixed_point():
     # local neighborhood centroid, so only k = 1 admits this sharp form.
     rng = np.random.default_rng(54)
     ref = _random_planar(rng, 150)
-    result = icp_point_to_point(ref, ref, Pose2.identity(), Params(k_nn=1))
+    result = _icp(ref, ref, Pose2.identity(), Params(k_nn=1))
     assert result.iterations == 1
     assert math.hypot(result.delta.x, result.delta.y) < 1e-6
     assert abs(result.delta.yaw) < 1e-6
@@ -185,7 +181,7 @@ def test_icp_recovers_known_transform():
     ref = _random_planar(rng, 200)
     move = Pose2(0.8, -0.5, math.radians(4.0))
     src = _transformed(ref, move)
-    result = icp_point_to_point(src, ref, Pose2.identity(), Params(k_nn=1))
+    result = _icp(src, ref, Pose2.identity(), Params(k_nn=1))
     inv = move.inverse()
     assert result.delta.x == pytest.approx(inv.x, abs=0.02)
     assert result.delta.y == pytest.approx(inv.y, abs=0.02)
@@ -200,7 +196,7 @@ def test_icp_default_config_bias_stays_small():
     ref = _random_planar(rng, 200)
     move = Pose2(0.8, -0.5, math.radians(4.0))
     src = _transformed(ref, move)
-    result = icp_point_to_point(src, ref, Pose2.identity())
+    result = _icp(src, ref, Pose2.identity())
     inv = move.inverse()
     assert math.hypot(result.delta.x - inv.x, result.delta.y - inv.y) < 0.05
     assert abs(result.delta.yaw - inv.yaw) < math.radians(0.2)
@@ -209,14 +205,14 @@ def test_icp_default_config_bias_stays_small():
 def _cost_under(pose, source, reference, cfg):
     """Weighted mean squared planar residual of the k-NN pairing at a pose."""
     index = build_nn_index(reference)
-    moved = source.xyz.copy()
+    moved = source.copy()
     moved[:, :2] = pose.transform_xy(moved[:, :2])
     kk = min(cfg.k_nn, len(reference))
     dist, idx = index.query(moved, kk)
     valid = dist <= cfg.max_correspondence_distance
     rows = np.repeat(np.arange(len(source)), kk)[valid.ravel()]
     ref_pts = index.points[idx.ravel()[valid.ravel()]]
-    pair_w = source.weight[rows] / kk
+    pair_w = np.ones(rows.size) / kk
     residual_sq = np.sum((moved[rows, :2] - ref_pts[:, :2]) ** 2, axis=1)
     return float((pair_w * residual_sq).sum() / pair_w.sum())
 
@@ -232,8 +228,8 @@ def test_icp_cost_not_above_prior_cost():
             rng.uniform(-math.radians(5), math.radians(5)),
         )
         src = _transformed(ref, move)
-        src.xyz[:, :2] += rng.normal(0.0, 0.05, (len(src), 2))
-        result = icp_point_to_point(src, ref, Pose2.identity(), cfg)
+        src[:, :2] += rng.normal(0.0, 0.05, (len(src), 2))
+        result = _icp(src, ref, Pose2.identity(), cfg)
         initial = _cost_under(Pose2.identity(), src, ref, cfg)
         assert result.final_cost <= initial + 1e-9
 
@@ -243,13 +239,13 @@ def test_icp_conjugation_equivariance():
     ref = _random_planar(rng, 200)
     move = Pose2(0.8, -0.5, math.radians(4.0))
     src = _transformed(ref, move)
-    base = icp_point_to_point(src, ref, Pose2.identity()).delta
+    base = _icp(src, ref, Pose2.identity()).delta
 
     conj = Pose2(12.0, -7.0, 1.1)
     src_c = _transformed(src, conj)
     ref_c = _transformed(ref, conj)
     prior_c = conj.compose(Pose2.identity()).compose(conj.inverse())
-    moved = icp_point_to_point(src_c, ref_c, prior_c).delta
+    moved = _icp(src_c, ref_c, prior_c).delta
     expect = conj.compose(base).compose(conj.inverse())
     assert moved.x == pytest.approx(expect.x, abs=1e-5)
     assert moved.y == pytest.approx(expect.y, abs=1e-5)
@@ -257,35 +253,35 @@ def test_icp_conjugation_equivariance():
 
 
 def test_icp_degenerate_yaw_holds_prior():
-    src = _cloud([[0.0, 0.0, 0.0]])
-    ref = _cloud([[1.0, 0.0, 0.0]])
+    src = _points([[0.0, 0.0, 0.0]])
+    ref = _points([[1.0, 0.0, 0.0]])
     prior = Pose2(0.0, 0.0, 0.3)
-    result = icp_point_to_point(src, ref, prior)
+    result = _icp(src, ref, prior)
     # Single correspondence cannot observe rotation: the correction is a
     # pure translation and the composed estimate keeps the prior's yaw.
     assert result.delta.yaw == pytest.approx(0.0, abs=1e-12)
     estimate = result.delta.compose(prior)
     assert estimate.yaw == pytest.approx(prior.yaw, abs=1e-12)
     np.testing.assert_allclose(
-        estimate.transform_xy(src.xyz[:1, :2]), ref.xyz[:1, :2], atol=1e-2
+        estimate.transform_xy(src[:1, :2]), ref[:1, :2], atol=1e-2
     )
 
 
 def test_icp_disjoint_clouds_raise():
     rng = np.random.default_rng(58)
     ref = _random_planar(rng, 100)
-    far = _cloud(ref.xyz + np.array([500.0, 0.0, 0.0]))
+    far = ref + np.array([500.0, 0.0, 0.0])
     with pytest.raises(NoCorrespondences):
-        icp_point_to_point(far, ref, Pose2.identity())
+        _icp(far, ref, Pose2.identity())
 
 
 def test_icp_empty_inputs_raise():
     rng = np.random.default_rng(59)
     ref = _random_planar(rng, 50)
     with pytest.raises(EmptyReference):
-        icp_point_to_point(ref, EMPTY, Pose2.identity())
+        _icp(ref, EMPTY, Pose2.identity())
     with pytest.raises(NoCorrespondences):
-        icp_point_to_point(EMPTY, ref, Pose2.identity())
+        _icp(EMPTY, ref, Pose2.identity())
 
 
 

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from tiltro.frontend import PointCloud
 from tiltro.geometry import Pose2, UnitQuat, relative_tilt
+from tiltro.params import Params
 from tiltro.submaps import (
     Atlas,
     Submap,
@@ -21,7 +24,7 @@ def _cloud(n=20, seed=0):
     rng = np.random.default_rng(seed)
     xyz = rng.uniform(-10.0, 10.0, size=(n, 3))
     xyz[:, 2] = 0.0
-    return PointCloud(xyz, np.zeros(n, dtype=np.int64), np.ones(n))
+    return xyz
 
 
 def _submap(sid, x, y, roll=0.0, pitch=0.0):
@@ -29,7 +32,7 @@ def _submap(sid, x, y, roll=0.0, pitch=0.0):
         submap_id=sid,
         anchor=Pose2(x, y, 0.0),
         attitude_signature=(roll, pitch),
-        cloud=_cloud(seed=sid),
+        points=_cloud(seed=sid),
     )
 
 
@@ -133,7 +136,8 @@ def test_find_submap_matches_exhaustive_oracle():
         else:
             assert found is not None
             assert found[0].submap_id == best_id
-            expect = relative_tilt(q_now, found[0].signature_quat())
+            signature = UnitQuat.from_rpy(*found[0].attitude_signature, 0.0)
+            expect = relative_tilt(q_now, signature)
             assert found[1].angle == pytest.approx(expect.angle, abs=1e-12)
 
 
@@ -144,35 +148,37 @@ def test_lift_to_world_composes_tilt_then_pose():
     q_now = UnitQuat.from_rpy(0.1, -0.2, 1.9)  # yaw must be ignored
     lifted = lift_to_world(cloud, pose, q_now)
     tilted = tilt_lift(cloud, q_now)
-    xy = pose.transform_xy(tilted.xyz[:, :2])
-    np.testing.assert_allclose(lifted.xyz[:, :2], xy, atol=1e-12)
-    np.testing.assert_allclose(lifted.xyz[:, 2], tilted.xyz[:, 2], atol=1e-12)
+    xy = pose.transform_xy(tilted[:, :2])
+    np.testing.assert_allclose(lifted[:, :2], xy, atol=1e-12)
+    np.testing.assert_allclose(lifted[:, 2], tilted[:, 2], atol=1e-12)
 
 
 def test_update_atlas_creates_on_miss():
     atlas = Atlas()
     pose = Pose2(2.0, 1.0, 0.4)
     q = UnitQuat.from_rpy(0.02, -0.05, 0.4)
-    update_atlas(atlas, _cloud(), pose, q, matched_id=None)
+    update_atlas(atlas, _cloud(), pose, q, matched=None)
     assert len(atlas) == 1
     s = atlas.submaps[0]
     assert s.submap_id == 0
     assert s.anchor == pose
     assert s.attitude_signature == pytest.approx((0.02, -0.05), abs=1e-9)
-    assert len(s.cloud) > 0
+    assert len(s.points) > 0
 
 
 def test_update_atlas_merges_nearby_compatible_scan():
     atlas = Atlas()
     update_atlas(atlas, _cloud(seed=1), Pose2.identity(), _level(), None)
     sig_before = atlas.submaps[0].attitude_signature
-    cloud_before = atlas.submaps[0].cloud
+    points_before = atlas.submaps[0].points
     q_close = UnitQuat.from_rpy(math.radians(1.0), math.radians(-2.0), 0.1)
-    update_atlas(atlas, _cloud(seed=2), Pose2(3.0, 0.0, 0.1), q_close, matched_id=0)
+    update_atlas(
+        atlas, _cloud(seed=2), Pose2(3.0, 0.0, 0.1), q_close, atlas.submaps[0]
+    )
     assert len(atlas) == 1
     s = atlas.submaps[0]
-    assert s.cloud is not cloud_before
-    assert len(s.cloud) > len(cloud_before)
+    assert s.points is not points_before
+    assert len(s.points) > len(points_before)
     # Signature and anchor stay at their founding values.
     assert s.attitude_signature == sig_before
     assert s.anchor == Pose2.identity()
@@ -181,10 +187,12 @@ def test_update_atlas_merges_nearby_compatible_scan():
 def test_update_atlas_new_submap_beyond_radius():
     atlas = Atlas()
     update_atlas(atlas, _cloud(seed=1), Pose2.identity(), _level(), None)
-    first = atlas.submaps[0].cloud
-    update_atlas(atlas, _cloud(seed=2), Pose2(25.0, 0.0, 0.0), _level(), matched_id=0)
+    first = atlas.submaps[0].points
+    update_atlas(
+        atlas, _cloud(seed=2), Pose2(25.0, 0.0, 0.0), _level(), atlas.submaps[0]
+    )
     assert len(atlas) == 2
-    assert atlas.submaps[0].cloud is first
+    assert atlas.submaps[0].points is first
     assert atlas.submaps[1].submap_id == 1
     assert atlas.submaps[1].anchor.x == pytest.approx(25.0)
 
@@ -193,7 +201,9 @@ def test_update_atlas_new_submap_on_tilt_change():
     atlas = Atlas()
     update_atlas(atlas, _cloud(seed=1), Pose2.identity(), _level(), None)
     q_tilted = UnitQuat.from_rpy(0.0, math.radians(5.0), 0.0)
-    update_atlas(atlas, _cloud(seed=2), Pose2(2.0, 0.0, 0.0), q_tilted, matched_id=0)
+    update_atlas(
+        atlas, _cloud(seed=2), Pose2(2.0, 0.0, 0.0), q_tilted, atlas.submaps[0]
+    )
     assert len(atlas) == 2
     assert atlas.submaps[1].attitude_signature[1] == pytest.approx(math.radians(5.0))
 
@@ -208,31 +218,76 @@ def test_update_atlas_exactly_one_outcome():
             float(rng.uniform(-0.1, 0.1)), float(rng.uniform(-0.1, 0.1)), 0.0
         )
         count_before = len(atlas)
-        clouds_before = {s.submap_id: s.cloud for s in atlas.submaps}
+        points_before = {s.submap_id: s.points for s in atlas.submaps}
         update_atlas(atlas, _cloud(seed=step), pose, q, matched)
         grew = len(atlas) == count_before + 1
         bumped = [
             s.submap_id
             for s in atlas.submaps
-            if s.submap_id in clouds_before and s.cloud is not clouds_before[s.submap_id]
+            if s.submap_id in points_before and s.points is not points_before[s.submap_id]
         ]
         assert grew != (len(bumped) == 1)  # exactly one of the two outcomes
         ids = [s.submap_id for s in atlas.submaps]
         assert ids == sorted(ids) and len(set(ids)) == len(ids)
         found = find_submap(atlas, pose, q)
-        matched = found[0].submap_id if found else None
+        matched = found[0] if found else None
 
 
 def test_update_atlas_merge_never_grows_point_count():
     atlas = Atlas()
     a = _cloud(n=200, seed=8)
     update_atlas(atlas, a, Pose2.identity(), _level(), None)
-    first = len(atlas.submaps[0].cloud)
+    first = len(atlas.submaps[0].points)
     b = _cloud(n=300, seed=9)
-    update_atlas(atlas, b, Pose2(1.0, 0.0, 0.0), _level(), matched_id=0)
-    assert len(atlas.submaps[0].cloud) <= first + len(b)
+    update_atlas(atlas, b, Pose2(1.0, 0.0, 0.0), _level(), atlas.submaps[0])
+    assert len(atlas.submaps[0].points) <= first + len(b)
 
 
 def test_update_atlas_rejects_empty_cloud():
     with pytest.raises(ValueError):
-        update_atlas(Atlas(), PointCloud(np.empty((0, 3)), [], []), Pose2.identity(), _level(), None)
+        update_atlas(Atlas(), np.empty((0, 3)), Pose2.identity(), _level(), None)
+
+
+@st.composite
+def _merge_cases(draw):
+    """A level submap at the origin and a scan that merges into it: points
+    on quarter-metre steps (so many share a voxel) with a few far outliers,
+    a pose inside r_submap and a tilt inside theta_tilt."""
+    coord = st.integers(-24, 24).map(lambda i: i * 0.25)
+    far = st.floats(-1e12, 1e12)
+    submap, scan = (
+        draw(arrays(np.float64, (n, 3), elements=coord, fill=far))
+        for n in (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    )
+    pose = Pose2(
+        draw(st.floats(-10.0, 10.0)),
+        draw(st.floats(-10.0, 10.0)),
+        draw(st.floats(-math.pi, math.pi)),
+    )
+    tilt = st.floats(-math.radians(2.0), math.radians(2.0))
+    q_now = UnitQuat.from_rpy(draw(tilt), draw(tilt), pose.yaw)
+    edge = draw(st.floats(0.1, 3.0))
+    return submap, scan, pose, q_now, edge
+
+
+@settings(max_examples=200, deadline=None)
+@given(_merge_cases())
+def test_update_atlas_merge_is_the_unweighted_centroid(case):
+    submap_points, scan, pose, q_now, edge = case
+    atlas = Atlas(Params(d_voxel=edge), [Submap(0, Pose2(), (0.0, 0.0), submap_points)])
+    update_atlas(atlas, scan, pose, q_now, atlas.submaps[0])
+    assert len(atlas) == 1
+    # Oracle: group the stacked points by np.unique over their cells and
+    # take each voxel's plain mean, bincount(x) / counts.
+    stacked = np.vstack([submap_points, lift_to_world(scan, pose, q_now)])
+    cells = np.floor(stacked / edge).astype(np.int64)
+    _, inverse, counts = np.unique(
+        cells, axis=0, return_inverse=True, return_counts=True
+    )
+    inverse = inverse.reshape(-1)
+    expect = np.column_stack(
+        [np.bincount(inverse, weights=stacked[:, i]) for i in range(3)]
+    ) / counts[:, None]
+    got = atlas.submaps[0].points
+    assert got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
