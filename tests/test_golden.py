@@ -44,7 +44,7 @@ GOLDEN = {
     ),
 }
 
-#: The digests above were taken on this host.
+#: The BLAS core and SIMD targets of the machine the digests were taken on.
 REFERENCE_HOST = (
     "OpenBLAS core SkylakeX, numpy 2.4.6, "
     "SIMD dispatch: X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
