@@ -24,8 +24,8 @@ from tiltro.pipeline import run_odometry
 from tiltro.sim import simulate, tilt_step_course
 
 #: mode -> (run_odometry switches, trajectory SHA-256, diagnostics SHA-256).
-#: With tilt search on, the gate never acts, so the first two coincide; with
-#: search off it acts on 2 scans.
+#: On this course the gate acts on no scan while tilt search is on, so the
+#: first two coincide; with search off it acts on scans 101 and 102.
 GOLDEN = {
     "defaults": (
         {},
