@@ -1,10 +1,13 @@
-"""Golden digests: the trajectory and diagnostics bytes of a fixed chain.
+"""Golden digests: the dataset, trajectory and diagnostics bytes of a fixed
+chain.
 
 Byte identity is the project's equivalence check for refactors and speed-ups.
-These tests run ``tilt_step_course(1)`` through estimate_bias -> run_filter
--> run_odometry under the defaults and under each ablation switch, and
-compare the SHA-256 of the written CSVs with digests committed here.  A
-change that alters the bytes on purpose updates the digests and says so.
+These tests simulate ``tilt_step_course(1)``, compare the SHA-256 of the
+``imu.csv``, ``ground_truth.csv`` and scenario echo that ``write_dataset``
+writes, then run estimate_bias -> run_filter -> run_odometry under the
+defaults and under each ablation switch and compare the digests of the
+written trajectory and diagnostics CSVs.  A change that alters the bytes on
+purpose updates the digests and says so.
 
 The float results depend on the BLAS kernels and on numpy's SIMD dispatch,
 so a failure names both; a mismatch on another kind of CPU reads as a host
@@ -19,9 +22,22 @@ import numpy as np
 import pytest
 
 from tiltro.attitude import estimate_bias, run_filter
-from tiltro.io import states_to_arrays, write_diagnostics_csv, write_trajectory_csv
+from tiltro.io import (
+    states_to_arrays,
+    write_dataset,
+    write_diagnostics_csv,
+    write_trajectory_csv,
+)
 from tiltro.pipeline import run_odometry
 from tiltro.sim import simulate, tilt_step_course
+
+#: dataset file -> SHA-256 of what ``write_dataset`` writes for the course;
+#: ``scenario.echo`` holds ``Scenario.to_json()``.
+GOLDEN_DATASET = {
+    "imu.csv": "e6e020391a1b8c59b6cecf25229b715bc4c4f57f413defc036e62d34c49ad3e5",
+    "ground_truth.csv": "60a4dd549b37fba00ced8d19efffdf8a1c18e4e3a36d627595cc2bdb9da06f72",
+    "scenario.echo": "b3156f8bb60cacbb11918ec590c36c0643ab42b2ff1f7170f654ecfcb58a4fff",
+}
 
 #: mode -> (run_odometry switches, trajectory SHA-256, diagnostics SHA-256).
 #: On this course the gate acts on no scan while tilt search is on, so the
@@ -84,9 +100,10 @@ def _host() -> str:
 
 @pytest.fixture(scope="module")
 def tilt_step():
-    sim = simulate(tilt_step_course(1))
+    scenario = tilt_step_course(1)
+    sim = simulate(scenario)
     track = run_filter(sim.imu, estimate_bias(sim.imu))
-    return sim.scans, track
+    return scenario, sim, track
 
 
 def _sha256(path: Path) -> str:
@@ -96,12 +113,25 @@ def _sha256(path: Path) -> str:
 @pytest.mark.parametrize("mode", list(GOLDEN))
 def test_golden_digests(tilt_step, tmp_path, mode):
     switches, traj_sha, diag_sha = GOLDEN[mode]
-    scans, track = tilt_step
-    states, diags = run_odometry(scans, track, **switches)
+    _, sim, track = tilt_step
+    states, diags = run_odometry(sim.scans, track, **switches)
     write_trajectory_csv(tmp_path / "traj.csv", *states_to_arrays(states))
     write_diagnostics_csv(tmp_path / "diag.csv", diags)
     got = (_sha256(tmp_path / "traj.csv"), _sha256(tmp_path / "diag.csv"))
     assert got == (traj_sha, diag_sha), (
         f"{mode}: trajectory or diagnostics bytes changed. Digests taken on "
+        f"{REFERENCE_HOST}; this host: {_host()}"
+    )
+
+
+def test_simulate_digests(tilt_step, tmp_path):
+    scenario, sim, _ = tilt_step
+    # No scans: their container has its own round-trip tests, and the
+    # digests pin the text formats.
+    write_dataset(tmp_path, [], sim.imu, sim.gt_t, sim.gt_pos, sim.gt_quats,
+                  scenario_text=scenario.to_json())
+    got = {name: _sha256(tmp_path / name) for name in GOLDEN_DATASET}
+    assert got == GOLDEN_DATASET, (
+        f"simulate's dataset bytes changed. Digests taken on "
         f"{REFERENCE_HOST}; this host: {_host()}"
     )
