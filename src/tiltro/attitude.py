@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ExtrapolationTooFar, InsufficientData, NotStatic
 from .geometry import (
     UnitQuat,
+    elapsed_ns,
     quat_array_normalize,
     slerp_array,
 )
@@ -233,8 +234,8 @@ class AttitudeTrack:
         ts = np.asarray(ts, dtype=np.int64)
         if ts.size == 0:
             return np.empty((0, 4))
-        below = ts < self._t[0] - EXTRAPOLATION_LIMIT_NS
-        above = ts > self._t[-1] + EXTRAPOLATION_LIMIT_NS
+        below = elapsed_ns(self._t[0], ts) < -EXTRAPOLATION_LIMIT_NS
+        above = elapsed_ns(self._t[-1], ts) > EXTRAPOLATION_LIMIT_NS
         if np.any(below) or np.any(above):
             bad = int(ts[below][0]) if np.any(below) else int(ts[above][0])
             raise ExtrapolationTooFar(
@@ -247,9 +248,8 @@ class AttitudeTrack:
         if len(self) == 1:
             return np.repeat(self._quats, ts.shape[0], axis=0)
         lo = hi - 1
-        # Subtract in int64 first: float64 resolves only 256 ns at epoch scale.
         t0 = self._t[lo]
-        frac = (clamped - t0).astype(float) / (self._t[hi] - t0).astype(float)
+        frac = elapsed_ns(t0, clamped) / elapsed_ns(t0, self._t[hi])
         frac = np.clip(frac, 0.0, 1.0)
         return slerp_array(self._quats[lo], self._quats[hi], frac)
 

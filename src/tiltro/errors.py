@@ -28,10 +28,6 @@ class ExtrapolationTooFar(TiltroError):
 # --- scan processing ------------------------------------------------------
 
 
-class EmptyScan(TiltroError):
-    """No usable points survived feature extraction."""
-
-
 class AllPointsRejected(TiltroError):
     """Tilt gating removed every point of the cloud."""
 

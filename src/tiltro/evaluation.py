@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TrajectoryTooShort
-from .geometry import wrap_angle_array
+from .geometry import elapsed_ns, wrap_angle_array
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,8 @@ class Trajectory:
     def resample(self, ts: np.ndarray) -> "Trajectory":
         """Linear interpolation onto new timestamps (yaw unwrapped first)."""
         ts = np.asarray(ts, dtype=np.int64)
-        # Times relative to the first sample, subtracted in int64: float64
-        # resolves only 256 ns at epoch scale.
-        tf = (self.t - self.t[0]).astype(float)
-        qf = (ts - self.t[0]).astype(float)
+        tf = elapsed_ns(self.t[0], self.t)
+        qf = elapsed_ns(self.t[0], ts)
         x = np.interp(qf, tf, self.x)
         y = np.interp(qf, tf, self.y)
         yaw_cont = np.unwrap(self.yaw)
@@ -162,10 +160,9 @@ def endpoint_error(est: Trajectory, gt: Trajectory) -> float:
     hi = min(est.t[-1], gt.t[-1])
     if hi <= lo:
         raise TrajectoryTooShort("trajectories do not overlap in time")
-    # Times relative to ``lo``, subtracted in int64 (see Trajectory.resample).
-    tf = float(hi - lo)
-    est_t = (est.t - lo).astype(float)
-    gt_t = (gt.t - lo).astype(float)
+    tf = float(elapsed_ns(lo, hi))
+    est_t = elapsed_ns(lo, est.t)
+    gt_t = elapsed_ns(lo, gt.t)
     ex = np.interp(tf, est_t, est.x)
     ey = np.interp(tf, est_t, est.y)
     gx = np.interp(tf, gt_t, gt.x)

@@ -35,6 +35,21 @@ def wrap_angle_array(angles: np.ndarray) -> np.ndarray:
     return (np.asarray(angles) + math.pi) % _TWO_PI - math.pi
 
 
+def elapsed_ns(t0, t) -> np.ndarray:
+    """``t - t0`` for int64 nanosecond times, as float64 correctly rounded.
+
+    The int64 difference wraps once the times lie more than 2**63 apart, and
+    converting the times to float first loses 256 ns at epoch scale.  Each
+    time splits into a signed high and an unsigned low 32-bit half; both
+    half differences are exact, so the one float addition rounds once.
+    """
+    t0 = np.asarray(t0, dtype=np.int64)
+    t = np.asarray(t, dtype=np.int64)
+    high = (t >> 32) - (t0 >> 32)
+    low = (t & 0xFFFFFFFF) - (t0 & 0xFFFFFFFF)
+    return high * 4294967296.0 + low
+
+
 class UnitQuat:
     """Unit quaternion with the sign canonicalized so that w >= 0.
 

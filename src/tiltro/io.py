@@ -30,6 +30,7 @@ from .evaluation import RteReport, Trajectory
 from .frontend import PolarScan
 from .geometry import quat_array_to_rpy
 from .params import Params
+from .pipeline import ScanDiagnostics
 
 _SCAN_MAGIC = b"FRAD"
 _SCAN_VERSION = 1
@@ -151,73 +152,54 @@ def _parse_float(path, lineno: int, text: str) -> float:
     return value
 
 
-class _MonotonicCheck:
-    """Tracks the previous timestamp; rejects any non-increase."""
-
-    def __init__(self, path):
-        self.path = path
-        self.prev: int | None = None
-
-    def feed(self, lineno: int, t: int) -> None:
-        if self.prev is not None and t <= self.prev:
+def _read_table(path, header: str) -> tuple[np.ndarray, np.ndarray]:
+    """(t (N,) int64, (N, k) floats) of a timestamped table whose header
+    names t and k float columns.  Timestamps must strictly increase."""
+    ts, rows = [], []
+    for lineno, parts in _read_rows(path, header):
+        t = _parse_int(path, lineno, parts[0])
+        if ts and t <= ts[-1]:
             raise NonMonotonicTimestamp(
-                f"{self.path}: line {lineno}: timestamp {t} does not "
-                f"increase past {self.prev}"
+                f"{path}: line {lineno}: timestamp {t} does not "
+                f"increase past {ts[-1]}"
             )
-        self.prev = t
+        ts.append(t)
+        rows.append([_parse_float(path, lineno, p) for p in parts[1:]])
+    floats = np.array(rows, dtype=float).reshape(len(ts), header.count(","))
+    return np.array(ts, dtype=np.int64), floats
+
+
+def _write_table(path, header: str, t, floats) -> None:
+    # tolist() yields plain ints and floats, so repr() emits the shortest
+    # round-trip literal
+    t = np.asarray(t, dtype=np.int64).tolist()
+    rows = np.asarray(floats, dtype=float).tolist()
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(
+            f"{ti},{','.join(map(repr, row))}\n" for ti, row in zip(t, rows)
+        )
 
 
 def write_imu_csv(path, samples: ImuStream) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(IMU_CSV_HEADER + "\n")
-        # tolist() yields plain floats, so repr() emits the shortest
-        # round-trip literal
-        rows = zip(samples.t.tolist(), samples.omega.tolist(), samples.accel.tolist())
-        for t, (wx, wy, wz), (ax, ay, az) in rows:
-            fh.write(f"{t},{wx!r},{wy!r},{wz!r},{ax!r},{ay!r},{az!r}\n")
+    _write_table(
+        path, IMU_CSV_HEADER, samples.t, np.hstack([samples.omega, samples.accel])
+    )
 
 
 def read_imu_csv(path) -> ImuStream:
-    mono = _MonotonicCheck(path)
-    ts, rows = [], []
-    for lineno, parts in _read_rows(path, IMU_CSV_HEADER):
-        t = _parse_int(path, lineno, parts[0])
-        mono.feed(lineno, t)
-        ts.append(t)
-        rows.append([_parse_float(path, lineno, p) for p in parts[1:]])
-    arr = np.array(rows, dtype=float).reshape(len(ts), 6)
-    return ImuStream(np.array(ts, dtype=np.int64), arr[:, 0:3], arr[:, 3:6])
+    t, v = _read_table(path, IMU_CSV_HEADER)
+    return ImuStream(t, v[:, 0:3], v[:, 3:6])
 
 
 def write_ground_truth_csv(path, t, pos, quats) -> None:
-    t = np.asarray(t, dtype=np.int64)
-    pos = np.asarray(pos, dtype=float)
-    quats = np.asarray(quats, dtype=float)
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(GROUND_TRUTH_CSV_HEADER + "\n")
-        for i in range(t.shape[0]):
-            x, y, z = (float(v) for v in pos[i])
-            qw, qx, qy, qz = (float(v) for v in quats[i])
-            fh.write(
-                f"{t[i]},{x!r},{y!r},{z!r},{qw!r},{qx!r},{qy!r},{qz!r}\n"
-            )
+    _write_table(path, GROUND_TRUTH_CSV_HEADER, t, np.column_stack([pos, quats]))
 
 
 def read_ground_truth_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (t, pos (N, 3), quats (N, 4))."""
-    mono = _MonotonicCheck(path)
-    ts, rows = [], []
-    for lineno, parts in _read_rows(path, GROUND_TRUTH_CSV_HEADER):
-        t = _parse_int(path, lineno, parts[0])
-        mono.feed(lineno, t)
-        ts.append(t)
-        rows.append([_parse_float(path, lineno, p) for p in parts[1:]])
-    arr = np.array(rows, dtype=float).reshape(len(ts), 7)
-    return (
-        np.array(ts, dtype=np.int64),
-        arr[:, 0:3].copy(),
-        arr[:, 3:7].copy(),
-    )
+    t, v = _read_table(path, GROUND_TRUTH_CSV_HEADER)
+    return t, v[:, 0:3].copy(), v[:, 3:7].copy()
 
 
 def ground_truth_trajectory(path) -> Trajectory:
@@ -228,28 +210,16 @@ def ground_truth_trajectory(path) -> Trajectory:
 
 
 def write_trajectory_csv(path, t, x, y, yaw, roll, pitch) -> None:
-    t = np.asarray(t, dtype=np.int64)
-    cols = [np.asarray(c, dtype=float) for c in (x, y, yaw, roll, pitch)]
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(TRAJECTORY_CSV_HEADER + "\n")
-        for i in range(t.shape[0]):
-            vals = ",".join(repr(float(c[i])) for c in cols)
-            fh.write(f"{t[i]},{vals}\n")
+    _write_table(
+        path, TRAJECTORY_CSV_HEADER, t, np.column_stack([x, y, yaw, roll, pitch])
+    )
 
 
 def read_trajectory_csv(path):
     """Returns (t, x, y, yaw, roll, pitch) arrays; empty arrays for a
     header-only file."""
-    mono = _MonotonicCheck(path)
-    ts, rows = [], []
-    for lineno, parts in _read_rows(path, TRAJECTORY_CSV_HEADER):
-        t = _parse_int(path, lineno, parts[0])
-        mono.feed(lineno, t)
-        ts.append(t)
-        rows.append([_parse_float(path, lineno, p) for p in parts[1:]])
-    arr = np.array(rows, dtype=float).reshape(len(ts), 5)
-    t = np.array(ts, dtype=np.int64)
-    return (t, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4])
+    t, v = _read_table(path, TRAJECTORY_CSV_HEADER)
+    return (t, *v.T)
 
 
 def states_to_arrays(states):
@@ -265,8 +235,6 @@ def states_to_arrays(states):
 
 
 def write_diagnostics_csv(path, diags) -> None:
-    from .pipeline import ScanDiagnostics
-
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(ScanDiagnostics.CSV_HEADER + "\n")
         for d in diags:

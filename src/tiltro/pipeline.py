@@ -12,7 +12,7 @@ pipeline never raises for a bad scan; every outcome is a diagnostics row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .attitude import AttitudeTrack
 from .errors import TiltroError
@@ -34,13 +34,8 @@ class OdomState:
 
     pose: Pose2
     velocity: tuple[float, float]
-    yaw_rate: float
     attitude: UnitQuat
     t: int
-
-    @property
-    def speed(self) -> float:
-        return math.hypot(self.velocity[0], self.velocity[1])
 
 
 @dataclass
@@ -68,23 +63,18 @@ class ScanDiagnostics:
     )
 
     def to_csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.scan_index),
-                str(self.t),
-                "1" if self.hit else "0",
-                self.reason,
-                str(self.submap_id),
-                str(self.raw_points),
-                str(self.filtered_points),
-                str(self.downsampled_points),
-                repr(self.tilt_deg),
-                str(self.icp_iterations),
-                repr(self.icp_cost),
-                repr(self.matched_fraction),
-                str(self.atlas_size),
-            ]
-        )
+        """The fields in declaration order: bools as 1/0, floats as their
+        round-trip repr(), everything else as str()."""
+        cells = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "bool":
+                cells.append("1" if value else "0")
+            elif f.type == "float":
+                cells.append(repr(value))
+            else:
+                cells.append(str(value))
+        return ",".join(cells)
 
 
 def initial_state(track: AttitudeTrack, t_first: int) -> OdomState:
@@ -92,7 +82,6 @@ def initial_state(track: AttitudeTrack, t_first: int) -> OdomState:
     return OdomState(
         pose=Pose2.identity(),
         velocity=(0.0, 0.0),
-        yaw_rate=0.0,
         attitude=track.attitude_at(t_first),
         t=t_first,
     )
@@ -157,9 +146,7 @@ def process_scan(
         q_now = track.attitude_at(t_scan)
     except (TiltroError, ValueError) as err:
         # Without attitude there is nothing to correct; hold the pose.
-        new_state = replace(
-            state, velocity=(0.0, 0.0), yaw_rate=0.0, t=t_scan
-        )
+        new_state = replace(state, velocity=(0.0, 0.0), t=t_scan)
         diag.reason = f"attitude-unavailable: {err}"
         return new_state, atlas, diag
 
@@ -173,7 +160,6 @@ def process_scan(
     deskewed: PointCloud | None = None
     pose: Pose2 | None = None
     velocity = (0.0, 0.0)
-    yaw_rate = 0.0
     hit = False
 
     if len(raw) == 0:
@@ -216,7 +202,6 @@ def process_scan(
                 else:
                     pose = candidate
                     velocity = (vx, vy)
-                    yaw_rate = wrap_angle(candidate.yaw - state.pose.yaw) / dt
                     hit = True
             except TiltroError as err:
                 diag.reason += f"icp: {err}"
@@ -226,13 +211,7 @@ def process_scan(
         # zeroed velocity makes the next prediction conservative.
         pose = prior
 
-    new_state = OdomState(
-        pose=pose,
-        velocity=velocity,
-        yaw_rate=yaw_rate,
-        attitude=q_now,
-        t=t_scan,
-    )
+    new_state = OdomState(pose=pose, velocity=velocity, attitude=q_now, t=t_scan)
     diag.hit = hit
 
     if deskewed is not None:

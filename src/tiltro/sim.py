@@ -30,6 +30,7 @@ from .attitude import GRAVITY, ImuStream
 from .errors import InvalidScenario
 from .frontend import PolarScan
 from .geometry import (
+    elapsed_ns,
     quat_array_conjugate,
     quat_array_multiply,
     quat_array_to_matrices,
@@ -171,16 +172,8 @@ class Scenario:
                 "heading": self.start_heading,
             },
             "radar": asdict(self.radar),
-            "imu": {
-                "rate": self.imu.rate,
-                "gyro_noise_density": self.imu.gyro_noise_density,
-                "accel_noise_density": self.imu.accel_noise_density,
-                "gyro_bias": list(self.imu.gyro_bias),
-                "accel_bias": list(self.imu.accel_bias),
-            },
-            "segments": [
-                {k: v for k, v in asdict(seg).items()} for seg in self.segments
-            ],
+            "imu": asdict(self.imu),
+            "segments": [asdict(seg) for seg in self.segments],
             "tilt_profile": [list(row) for row in self.tilt_profile],
             "poles": [list(asdict(p).values()) for p in self.poles],
             "walls": [list(asdict(w).values()) for w in self.walls],
@@ -194,40 +187,41 @@ class Scenario:
         except json.JSONDecodeError as err:
             raise InvalidScenario(f"scenario is not valid JSON: {err}") from err
         try:
-            start = doc.get("start", {})
-            segments = tuple(
-                PathSegment(**{k: v for k, v in seg.items()})
-                for seg in doc["segments"]
-            )
-            return Scenario(
-                seed=int(doc["seed"]),
-                segments=segments,
-                poles=tuple(Pole(*row) for row in doc.get("poles", [])),
-                walls=tuple(Wall(*row) for row in doc.get("walls", [])),
-                tilt_profile=tuple(
-                    tuple(row) for row in doc.get("tilt_profile", [])
-                ),
-                radar=RadarModel(**doc.get("radar", {})),
-                imu=ImuModel(
-                    rate=doc.get("imu", {}).get("rate", 200.0),
-                    gyro_noise_density=doc.get("imu", {}).get(
-                        "gyro_noise_density", 0.0002
-                    ),
-                    accel_noise_density=doc.get("imu", {}).get(
-                        "accel_noise_density", 0.002
-                    ),
-                    gyro_bias=tuple(doc.get("imu", {}).get("gyro_bias", (0, 0, 0))),
-                    accel_bias=tuple(
-                        doc.get("imu", {}).get("accel_bias", (0, 0, 0))
-                    ),
-                ),
-                sensor_height=float(doc.get("sensor_height", 0.5)),
-                start_x=float(start.get("x", 0.0)),
-                start_y=float(start.get("y", 0.0)),
-                start_heading=float(start.get("heading", 0.0)),
+            doc = dict(doc)
+            start = dict(doc.pop("start", {}))
+            imu = dict(doc.pop("imu", {}))
+            for key in ("gyro_bias", "accel_bias"):
+                if key in imu:
+                    imu[key] = tuple(imu[key])
+            scenario = Scenario(
+                seed=int(doc.pop("seed")),
+                segments=tuple(PathSegment(**seg) for seg in doc.pop("segments")),
+                poles=_landmarks("poles", doc.pop("poles", []), Pole),
+                walls=_landmarks("walls", doc.pop("walls", []), Wall),
+                tilt_profile=tuple(tuple(row) for row in doc.pop("tilt_profile", [])),
+                radar=RadarModel(**doc.pop("radar", {})),
+                imu=ImuModel(**imu),
+                sensor_height=float(doc.pop("sensor_height", 0.5)),
+                start_x=float(start.pop("x", 0.0)),
+                start_y=float(start.pop("y", 0.0)),
+                start_heading=float(start.pop("heading", 0.0)),
             )
         except (KeyError, TypeError, ValueError) as err:
             raise InvalidScenario(f"scenario field error: {err}") from err
+        # Every key read above was popped; what is left is a typo.
+        unknown = [*doc, *(f"start.{key}" for key in start)]
+        if unknown:
+            raise InvalidScenario(f"unknown scenario keys {unknown}")
+        return scenario
+
+
+def _landmarks(key: str, rows, cls) -> tuple:
+    """Pole or wall rows of a scenario document: lists of numbers in field
+    order, as ``Scenario.to_json`` writes them."""
+    for row in rows:
+        if not (isinstance(row, list) and all(type(v) in (int, float) for v in row)):
+            raise InvalidScenario(f"{key} rows must be lists of numbers, got {row!r}")
+    return tuple(cls(*row) for row in rows)
 
 
 def _stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -263,16 +257,15 @@ class GroundTruth:
     def sample(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """Interpolated positions and attitudes at the query times (ns)."""
         ts = np.asarray(ts, dtype=np.int64)
-        if np.any(ts < self.t[0] - 2 * _MS_NS) or np.any(ts > self.t[-1] + 2 * _MS_NS):
+        early = elapsed_ns(self.t[0], ts) < -2 * _MS_NS
+        late = elapsed_ns(self.t[-1], ts) > 2 * _MS_NS
+        if np.any(early | late):
             raise ValueError("ground-truth query outside the generated span")
         clamped = np.clip(ts, self.t[0], self.t[-1])
         hi = np.clip(np.searchsorted(self.t, clamped, side="left"), 1, len(self.t) - 1)
         lo = hi - 1
-        # Subtract in int64 first: float64 resolves only 256 ns at epoch scale.
         t0 = self.t[lo]
-        frac = np.clip(
-            (clamped - t0).astype(float) / (self.t[hi] - t0).astype(float), 0.0, 1.0
-        )
+        frac = np.clip(elapsed_ns(t0, clamped) / elapsed_ns(t0, self.t[hi]), 0.0, 1.0)
         pos = self.pos[lo] + (self.pos[hi] - self.pos[lo]) * frac[:, None]
         quats = slerp_array(self.quats[lo], self.quats[hi], frac)
         return pos, quats

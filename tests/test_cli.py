@@ -1,8 +1,11 @@
 """End-to-end tests for the simulate / run / eval command line."""
 
+import json
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +175,35 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert captured.out == ""
     assert "error" in captured.err
     assert f"{cfg}: gamma must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "pole",
+    [
+        {"x": 1.0, "y": 2.0, "base_z": 0.0, "height": 3.0, "reflectivity": 200.0},
+        [1.0, "2.0", 0.0, 3.0, 200.0],
+    ],
+    ids=["object", "string"],
+)
+def test_simulate_rejects_a_malformed_pole_row(tmp_path, capsys, pole):
+    doc = json.loads(_course().to_json())
+    doc["poles"].append(pole)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--out", str(tmp_path / "ds")]) == 2
+    assert "poles rows must be lists of numbers" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
+def test_readme_scenario_example_simulates(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Scenario files"):]
+    example = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(example, encoding="utf-8")
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--out", str(tmp_path / "ds"), "--duration", "3"]) == 0
 
 
 def test_run_rejects_a_timestamp_outside_int64(chain, tmp_path, capsys):

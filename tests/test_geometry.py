@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tiltro import Pose2, RelativeTilt, UnitQuat, relative_tilt
 from tiltro.geometry import (
+    elapsed_ns,
     quat_array_multiply,
     quat_array_to_rpy,
     rpy_to_quat_array,
@@ -219,3 +222,13 @@ def test_slerp_array_matches_scalar():
     )
     for a, b, t, arr in zip(q0, q1, ts, out):
         assert approx_eq(slerp(a, b, t), UnitQuat.from_array(arr), tol=1e-7)
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@given(st.lists(_INT64, min_size=1, max_size=4), _INT64)
+def test_elapsed_ns_is_the_correctly_rounded_difference(ts, t0):
+    got = elapsed_ns(t0, np.array(ts, dtype=np.int64))
+    # Python's int -> float conversion rounds the exact difference once.
+    assert got.tolist() == [float(t - t0) for t in ts]

@@ -25,6 +25,7 @@ from tiltro.frontend import PolarScan
 from tiltro.io import (
     GROUND_TRUTH_CSV_HEADER,
     IMU_CSV_HEADER,
+    TRAJECTORY_CSV_HEADER,
     format_run_config,
     ground_truth_trajectory,
     load_dataset,
@@ -224,11 +225,24 @@ def test_csv_errors_carry_line_numbers(tmp_path):
         read_imu_csv(p)
 
 
-def test_non_monotonic_timestamps_rejected(tmp_path):
-    p = tmp_path / "imu.csv"
-    p.write_text(IMU_CSV_HEADER + "\n5,0,0,0,0,0,9.81\n5,0,0,0,0,0,9.81\n")
-    with pytest.raises(NonMonotonicTimestamp, match="line 3"):
-        read_imu_csv(p)
+@pytest.mark.parametrize(
+    "header, read",
+    [
+        (IMU_CSV_HEADER, read_imu_csv),
+        (GROUND_TRUTH_CSV_HEADER, read_ground_truth_csv),
+        (TRAJECTORY_CSV_HEADER, read_trajectory_csv),
+    ],
+    ids=["imu", "ground_truth", "trajectory"],
+)
+def test_non_monotonic_timestamps_rejected(tmp_path, header, read):
+    p = tmp_path / "data.csv"
+    row = ",1.0" * header.count(",")
+    p.write_text(f"{header}\n4{row}\n5{row}\n5{row}\n")
+    with pytest.raises(NonMonotonicTimestamp, match="line 4: timestamp 5 does not increase past 5"):
+        read(p)
+    p.write_text(f"{header}\n5{row}\n4{row}\n")
+    with pytest.raises(NonMonotonicTimestamp, match="line 3: timestamp 4 does not increase past 5"):
+        read(p)
 
 
 def _report():

@@ -172,7 +172,6 @@ def test_distant_atlas_forces_miss_with_velocity_reset(straight_sim, perfect_tra
     state = type(state)(
         pose=Pose2(1.0, 2.0, 0.0),
         velocity=(1.2, 0.1),
-        yaw_rate=0.0,
         attitude=state.attitude,
         t=prev_t,
     )
@@ -192,7 +191,6 @@ def test_distant_atlas_forces_miss_with_velocity_reset(straight_sim, perfect_tra
     assert not diag.hit
     assert "no-submap" in diag.reason
     assert new_state.velocity == (0.0, 0.0)
-    assert new_state.yaw_rate == 0.0
     # Pose publishes the constant-velocity prior, not a zeroed pose.
     assert new_state.pose.x == pytest.approx(1.0 + 1.2 * dt, abs=1e-12)
     assert new_state.pose.y == pytest.approx(2.0 + 0.1 * dt, abs=1e-12)
@@ -209,7 +207,6 @@ def test_predict_is_constant_velocity_plus_imu_yaw(perfect_track):
     state = type(state)(
         pose=Pose2(3.0, -1.0, 0.2),
         velocity=(2.0, 0.5),
-        yaw_rate=0.0,
         attitude=state.attitude,
         t=t0,
     )

@@ -1,7 +1,9 @@
 """Tests for the deterministic scenario simulator (truth, radar, IMU)."""
 
+import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -416,6 +418,58 @@ def test_scenario_json_round_trip():
     assert back.radar == sc.radar
 
 
+def _scenario_doc(**sections):
+    doc = json.loads(tilt_step_course(1).to_json())
+    doc.update(sections)
+    return doc
+
+
+def test_scenario_rejects_an_unknown_imu_key():
+    with pytest.raises(InvalidScenario, match="rat"):
+        Scenario.from_json(json.dumps(_scenario_doc(imu={"rat": 100.0})))
+
+
+@pytest.mark.parametrize(
+    "sections, key",
+    [
+        ({"tilt_profle": []}, "tilt_profle"),
+        ({"start": {"x": 1.0, "yaw": 0.5}}, "start.yaw"),
+        ({"radar": {"azimuths": 400}}, "azimuths"),
+    ],
+    ids=["top-level", "start", "radar"],
+)
+def test_scenario_rejects_unknown_keys_in_every_section(sections, key):
+    with pytest.raises(InvalidScenario, match=key):
+        Scenario.from_json(json.dumps(_scenario_doc(**sections)))
+
+
+def test_scenario_without_biases_reads_the_imu_defaults():
+    sc = tilt_step_course(1)
+    back = Scenario.from_json(json.dumps(_scenario_doc(imu={"rate": 100.0})))
+    # The echo tells float defaults from the integers 0, 0, 0.
+    assert back.to_json() == replace(sc, imu=ImuModel(rate=100.0)).to_json()
+    doc = _scenario_doc()
+    del doc["imu"]
+    assert Scenario.from_json(json.dumps(doc)).imu == ImuModel()
+
+
+@pytest.mark.parametrize(
+    "section, rows",
+    [
+        ("poles", [{"x": 1.0, "y": 2.0, "base_z": 0.0, "height": 3.0,
+                    "reflectivity": 200.0}]),
+        ("poles", [[1.0, "2.0", 0.0, 3.0, 200.0]]),
+        ("poles", [[1.0, 2.0, 0.0, 3.0]]),
+        ("walls", [[0.0, 0.0, 10.0, 0.0, 0.0, 3.0, True]]),
+        ("walls", "0,0,10,0,0,3,200"),
+    ],
+    ids=["pole-object", "pole-string", "pole-short", "wall-bool", "walls-string"],
+)
+def test_scenario_landmark_rows_must_be_lists_of_numbers(section, rows):
+    with pytest.raises(InvalidScenario):
+        Scenario.from_json(json.dumps(_scenario_doc(**{section: rows})))
+
+
 def test_rectangle_loop_shape():
     sc = rectangle_loop()
     gt = generate_ground_truth(sc)
@@ -443,3 +497,5 @@ def test_scenario_validation():
         Scenario.from_json("{not json")
     with pytest.raises(InvalidScenario):
         Scenario.from_json("{}")
+    with pytest.raises(InvalidScenario):
+        Scenario.from_json("[]")
