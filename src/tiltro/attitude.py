@@ -203,6 +203,14 @@ class AttitudeTrack:
         signs = np.concatenate([[1.0], np.where(flips, -1.0, 1.0)])
         self._t = t
         self._quats = quats * signs[:, None]
+        # The farthest queries that still clamp, as Python ints kept inside
+        # int64, so the per-query comparison cannot wrap.
+        self._reach = (
+            max(int(t[0]) - EXTRAPOLATION_LIMIT_NS, -(2**63)),
+            min(int(t[-1]) + EXTRAPOLATION_LIMIT_NS, 2**63 - 1),
+        )
+        # Sample intervals as floats: a query needs only its offset into one.
+        self._gaps = elapsed_ns(t[:-1], t[1:])
         self._t.setflags(write=False)
         self._quats.setflags(write=False)
 
@@ -234,22 +242,20 @@ class AttitudeTrack:
         ts = np.asarray(ts, dtype=np.int64)
         if ts.size == 0:
             return np.empty((0, 4))
-        below = elapsed_ns(self._t[0], ts) < -EXTRAPOLATION_LIMIT_NS
-        above = elapsed_ns(self._t[-1], ts) > EXTRAPOLATION_LIMIT_NS
+        below = ts < self._reach[0]
+        above = ts > self._reach[1]
         if np.any(below) or np.any(above):
             bad = int(ts[below][0]) if np.any(below) else int(ts[above][0])
             raise ExtrapolationTooFar(
                 f"query at {bad} ns is more than {EXTRAPOLATION_LIMIT_NS} ns "
                 f"outside track span [{self.t_start}, {self.t_end}]"
             )
-        clamped = np.clip(ts, self._t[0], self._t[-1])
-        hi = np.searchsorted(self._t, clamped, side="left")
-        hi = np.clip(hi, 1, len(self) - 1) if len(self) > 1 else np.zeros_like(hi)
         if len(self) == 1:
             return np.repeat(self._quats, ts.shape[0], axis=0)
+        clamped = np.clip(ts, self._t[0], self._t[-1])
+        hi = np.clip(np.searchsorted(self._t, clamped, side="left"), 1, len(self) - 1)
         lo = hi - 1
-        t0 = self._t[lo]
-        frac = elapsed_ns(t0, clamped) / elapsed_ns(t0, self._t[hi])
+        frac = elapsed_ns(self._t[lo], clamped) / self._gaps[lo]
         frac = np.clip(frac, 0.0, 1.0)
         return slerp_array(self._quats[lo], self._quats[hi], frac)
 
