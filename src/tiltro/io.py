@@ -174,6 +174,8 @@ def _write_table(path, header: str, t, floats) -> None:
     # round-trip literal
     t = np.asarray(t, dtype=np.int64).tolist()
     rows = np.asarray(floats, dtype=float).tolist()
+    if len(rows) != len(t):
+        raise ValueError(f"{len(t)} timestamps but {len(rows)} rows of values")
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         fh.writelines(

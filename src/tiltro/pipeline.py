@@ -40,21 +40,22 @@ class OdomState:
 
 @dataclass
 class ScanDiagnostics:
-    """Per-scan processing record; written as one CSV row."""
+    """Per-scan processing record; written as one CSV row.  The defaults
+    describe a scan that reached no stage."""
 
     scan_index: int
     t: int
-    hit: bool
-    reason: str
-    submap_id: int
-    raw_points: int
-    filtered_points: int
-    downsampled_points: int
-    tilt_deg: float
-    icp_iterations: int
-    icp_cost: float
-    matched_fraction: float
-    atlas_size: int
+    hit: bool = False
+    reason: str = ""
+    submap_id: int = -1
+    raw_points: int = 0
+    filtered_points: int = 0
+    downsampled_points: int = 0
+    tilt_deg: float = 0.0
+    icp_iterations: int = 0
+    icp_cost: float = math.nan
+    matched_fraction: float = 0.0
+    atlas_size: int = 0
 
     CSV_HEADER = (
         "scan,t_ns,hit,reason,submap_id,raw_points,filtered_points,"
@@ -124,21 +125,7 @@ def process_scan(
     """
     params = atlas.params
     t_scan = scan.t_start
-    diag = ScanDiagnostics(
-        scan_index=scan_index,
-        t=t_scan,
-        hit=False,
-        reason="",
-        submap_id=-1,
-        raw_points=0,
-        filtered_points=0,
-        downsampled_points=0,
-        tilt_deg=0.0,
-        icp_iterations=0,
-        icp_cost=math.nan,
-        matched_fraction=0.0,
-        atlas_size=len(atlas),
-    )
+    diag = ScanDiagnostics(scan_index, t_scan, atlas_size=len(atlas))
 
     dt = (t_scan - state.t) * 1e-9
     try:

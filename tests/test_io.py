@@ -209,6 +209,14 @@ def test_trajectory_csv_round_trip_and_empty(tmp_path):
     assert all(len(c) == 0 for c in cols)
 
 
+def test_csv_writers_reject_columns_shorter_than_t(tmp_path):
+    t = np.array([10, 20, 30], dtype=np.int64)
+    with pytest.raises(ValueError, match="3 timestamps but 2 rows"):
+        write_ground_truth_csv(tmp_path / "gt.csv", t, np.zeros((2, 3)), np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="3 timestamps but 2 rows"):
+        write_trajectory_csv(tmp_path / "traj.csv", t, *np.zeros((5, 2)))
+
+
 def test_csv_errors_carry_line_numbers(tmp_path):
     p = tmp_path / "imu.csv"
     p.write_text("wrong,header\n")
