@@ -257,9 +257,10 @@ class GroundTruth:
     def sample(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """Interpolated positions and attitudes at the query times (ns)."""
         ts = np.asarray(ts, dtype=np.int64)
-        early = elapsed_ns(self.t[0], ts) < -2 * _MS_NS
-        late = elapsed_ns(self.t[-1], ts) > 2 * _MS_NS
-        if np.any(early | late):
+        # Limits as Python ints kept inside int64, so the comparison cannot wrap.
+        first = max(self.t_start - 2 * _MS_NS, -(2**63))
+        last = min(self.t_end + 2 * _MS_NS, 2**63 - 1)
+        if np.any(ts < first) or np.any(ts > last):
             raise ValueError("ground-truth query outside the generated span")
         clamped = np.clip(ts, self.t[0], self.t[-1])
         hi = np.clip(np.searchsorted(self.t, clamped, side="left"), 1, len(self.t) - 1)
