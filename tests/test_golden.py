@@ -6,7 +6,9 @@ These tests simulate ``tilt_step_course(1)``, compare the SHA-256 of the
 ``imu.csv``, ``ground_truth.csv`` and scenario echo that ``write_dataset``
 writes, then run estimate_bias -> run_filter -> run_odometry under the
 defaults and under each ablation switch and compare the digests of the
-written trajectory and diagnostics CSVs.  A change that alters the bytes on
+written trajectory and diagnostics CSVs.  One more chain runs the whole of
+``quarry_course(1)`` under the defaults, where the tilt gate acts with tilt
+search on.  A change that alters the bytes on
 purpose updates the digests and says so.
 
 The float results depend on the BLAS kernels and on numpy's SIMD dispatch,
@@ -29,7 +31,7 @@ from tiltro.io import (
     write_trajectory_csv,
 )
 from tiltro.pipeline import run_odometry
-from tiltro.sim import simulate, tilt_step_course
+from tiltro.sim import quarry_course, simulate, tilt_step_course
 
 #: dataset file -> SHA-256 of what ``write_dataset`` writes for the course;
 #: ``scenario.echo`` holds ``Scenario.to_json()``.
@@ -59,6 +61,14 @@ GOLDEN = {
         "3d2e448ce17b8e6c38d8318419a9fe571a83e7f089366062165bb6c6556b6b4b",
     ),
 }
+
+#: Whole ``quarry_course(1)`` under the defaults (trajectory SHA-256,
+#: diagnostics SHA-256).  With tilt search on, the gate acts on scans 267
+#: and 333.
+GOLDEN_QUARRY = (
+    "831dfbb8662cedc08648489e51f14dd86a8e206965a3fbe4d1729b8ad90305d5",
+    "d1ab27879332c19d54856ebce2e127af8c268f6986a7edadcab0c1284986fd65",
+)
 
 #: The BLAS core and SIMD targets of the machine the digests were taken on.
 REFERENCE_HOST = (
@@ -98,29 +108,46 @@ def _host() -> str:
     )
 
 
-@pytest.fixture(scope="module")
-def tilt_step():
-    scenario = tilt_step_course(1)
+def _simulated(scenario):
     sim = simulate(scenario)
     track = run_filter(sim.imu, estimate_bias(sim.imu))
     return scenario, sim, track
+
+
+@pytest.fixture(scope="module")
+def tilt_step():
+    return _simulated(tilt_step_course(1))
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _run_digests(sim, track, out: Path, **switches) -> tuple[str, str]:
+    """SHA-256 of the trajectory and diagnostics CSVs of one run."""
+    states, diags = run_odometry(sim.scans, track, **switches)
+    write_trajectory_csv(out / "traj.csv", *states_to_arrays(states))
+    write_diagnostics_csv(out / "diag.csv", diags)
+    return _sha256(out / "traj.csv"), _sha256(out / "diag.csv")
+
+
 @pytest.mark.parametrize("mode", list(GOLDEN))
 def test_golden_digests(tilt_step, tmp_path, mode):
     switches, traj_sha, diag_sha = GOLDEN[mode]
     _, sim, track = tilt_step
-    states, diags = run_odometry(sim.scans, track, **switches)
-    write_trajectory_csv(tmp_path / "traj.csv", *states_to_arrays(states))
-    write_diagnostics_csv(tmp_path / "diag.csv", diags)
-    got = (_sha256(tmp_path / "traj.csv"), _sha256(tmp_path / "diag.csv"))
+    got = _run_digests(sim, track, tmp_path, **switches)
     assert got == (traj_sha, diag_sha), (
         f"{mode}: trajectory or diagnostics bytes changed. Digests taken on "
         f"{REFERENCE_HOST}; this host: {_host()}"
+    )
+
+
+def test_golden_digests_where_the_gate_acts_with_search_on(tmp_path):
+    _, sim, track = _simulated(quarry_course(1))
+    got = _run_digests(sim, track, tmp_path)
+    assert got == GOLDEN_QUARRY, (
+        f"quarry_course(1): trajectory or diagnostics bytes changed. Digests "
+        f"taken on {REFERENCE_HOST}; this host: {_host()}"
     )
 
 
