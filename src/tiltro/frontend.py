@@ -161,19 +161,27 @@ def k_strongest(
 def deskew(cloud: PointCloud, track: AttitudeTrack) -> PointCloud:
     """Rotate every point into the sensor frame at the earliest point time.
 
-    Translation during the sweep is not compensated (attitude-only).  With a
-    constant attitude this is an exact identity on the coordinates.
+    The attitude is queried once per run of equal consecutive times (one
+    per azimuth for ``k_strongest`` output); points may come in any time
+    order.  Translation during the sweep is not compensated
+    (attitude-only).  With a constant attitude this is an exact identity on
+    the coordinates.
     """
     if len(cloud) == 0:
         raise ValueError("cannot deskew an empty cloud")
-    # The earliest point time is unique_t[0], so the reference attitude is
-    # row 0 of the one batched query.
-    unique_t, inverse = np.unique(cloud.t, return_inverse=True)
-    quats = track.attitudes_at(unique_t)
-    q_ref = quats[:1]
+    t = cloud.t
+    starts = np.empty(len(t), dtype=bool)
+    starts[0] = True
+    np.not_equal(t[1:], t[:-1], out=starts[1:])
+    run = np.cumsum(starts) - 1
+    run_t = t[starts]
+    quats = track.attitudes_at(run_t)
+    # Equal times give equal rows, so any run at the earliest time serves.
+    ref = int(np.argmin(run_t))
+    q_ref = quats[ref : ref + 1]
     rel = quat_array_multiply(
         np.broadcast_to(quat_array_conjugate(q_ref), quats.shape), quats
     )
     rot = quat_array_to_matrices(rel)
-    xyz = np.einsum("nij,nj->ni", rot[inverse], cloud.xyz)
+    xyz = np.einsum("nij,nj->ni", rot[run], cloud.xyz)
     return replace(cloud, xyz=xyz)

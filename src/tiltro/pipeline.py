@@ -88,21 +88,28 @@ def initial_state(track: AttitudeTrack, t_first: int) -> OdomState:
     )
 
 
-def predict(state: OdomState, t_next: int, track: AttitudeTrack) -> Pose2:
+def predict(
+    state: OdomState, t_next: int, track: AttitudeTrack
+) -> tuple[Pose2, UnitQuat]:
     """Constant-velocity position advance; yaw advanced by the IMU's
-    relative yaw between state.t and t_next."""
+    relative yaw between state.t and t_next.
+
+    Returns the predicted pose and the track's attitude at t_next, both from
+    one batched attitude query.
+    """
     dt = (t_next - state.t) * 1e-9
     if dt < 0.0:
         raise ValueError("prediction target precedes the current state")
     q_now, q_next = track.attitudes_at([state.t, t_next])
+    attitude = UnitQuat.from_array(q_next)
     yaw_now = UnitQuat.from_array(q_now).to_rpy()[2]
-    yaw_next = UnitQuat.from_array(q_next).to_rpy()[2]
-    dyaw = wrap_angle(yaw_next - yaw_now)
-    return Pose2(
+    dyaw = wrap_angle(attitude.to_rpy()[2] - yaw_now)
+    pose = Pose2(
         state.pose.x + state.velocity[0] * dt,
         state.pose.y + state.velocity[1] * dt,
         state.pose.yaw + dyaw,
     )
+    return pose, attitude
 
 
 def process_scan(
@@ -129,8 +136,10 @@ def process_scan(
 
     dt = (t_scan - state.t) * 1e-9
     try:
-        prior = predict(state, t_scan, track) if dt > 0.0 else state.pose
-        q_now = track.attitude_at(t_scan)
+        if dt > 0.0:
+            prior, q_now = predict(state, t_scan, track)
+        else:
+            prior, q_now = state.pose, track.attitude_at(t_scan)
     except (TiltroError, ValueError) as err:
         # Without attitude there is nothing to correct; hold the pose.
         new_state = replace(state, velocity=(0.0, 0.0), t=t_scan)

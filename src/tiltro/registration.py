@@ -89,12 +89,21 @@ class NnIndex:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def query(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def query(
+        self, queries: np.ndarray, k: int, distance_upper_bound: float = math.inf
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Distances and indices of the up-to-k nearest reference points,
-        sorted by distance; shapes are (Q, min(k, len(index)))."""
+        sorted by distance; shapes are (Q, min(k, len(index))).
+
+        Only neighbours closer than ``distance_upper_bound`` are searched
+        for; a slot left without one holds distance inf and index
+        ``len(index)``.
+        """
         queries = np.asarray(queries, dtype=float).reshape(-1, 3)
         kk = min(k, len(self))
-        dist, idx = self._tree.query(queries, k=kk)
+        dist, idx = self._tree.query(
+            queries, k=kk, distance_upper_bound=distance_upper_bound
+        )
         if kk == 1:
             dist = dist[:, None]
             idx = idx[:, None]
@@ -112,14 +121,18 @@ def _solve_planar(src: np.ndarray, ref: np.ndarray, w: np.ndarray) -> Pose2:
     w_total = float(w.sum())
     if w_total <= 0.0:
         return Pose2(0.0, 0.0, 0.0)
-    src_c = (w[:, None] * src).sum(axis=0) / w_total
-    ref_c = (w[:, None] * ref).sum(axis=0) / w_total
-    ds = src - src_c
-    dr = ref - ref_c
-    h_xx = float((w * ds[:, 0] * dr[:, 0]).sum())
-    h_xy = float((w * ds[:, 0] * dr[:, 1]).sum())
-    h_yx = float((w * ds[:, 1] * dr[:, 0]).sum())
-    h_yy = float((w * ds[:, 1] * dr[:, 1]).sum())
+    # Both centroids from one row-by-row axis-0 sum over the (M, 4) pairs.
+    pairs = np.hstack([src, ref])
+    centroids = (w[:, None] * pairs).sum(axis=0) / w_total
+    centered = pairs - centroids
+    # Rows (w * ds_i) * dr_j for (i, j) = xx, xy, yx, yy.  In C order each
+    # row is contiguous and sums pairwise, as a 1-D sum of its products does.
+    w_ds = w * centered[:, :2].T
+    terms = np.multiply(
+        w_ds[:, None, :], centered[:, 2:].T[None, :, :], order="C"
+    ).reshape(4, -1)
+    h_xx, h_xy, h_yx, h_yy = terms.sum(axis=1).tolist()
+    sx, sy, rx, ry = centroids.tolist()
     sin_term = h_xy - h_yx
     cos_term = h_xx + h_yy
     if abs(sin_term) < 1e-12 and abs(cos_term) < 1e-12:
@@ -128,8 +141,8 @@ def _solve_planar(src: np.ndarray, ref: np.ndarray, w: np.ndarray) -> Pose2:
     else:
         yaw = math.atan2(sin_term, cos_term)
     c, s = math.cos(yaw), math.sin(yaw)
-    tx = ref_c[0] - (c * src_c[0] - s * src_c[1])
-    ty = ref_c[1] - (s * src_c[0] + c * src_c[1])
+    tx = rx - (c * sx - s * sy)
+    ty = ry - (s * sx + c * sy)
     return Pose2(tx, ty, yaw)
 
 
@@ -166,32 +179,41 @@ def icp_point_to_point(
     estimate = prior
     point_w = weight if params.use_point_weights else np.ones(n)
     kk = min(params.k_nn, len(index))
-    iterations = 0
-    final_cost = 0.0
-    matched_fraction = 0.0
+    max_dist = params.max_correspondence_distance
+    # The tree's bound is strict, so searching just past max_dist finds
+    # every neighbour the "<= max_dist" mask keeps, in the unbounded order.
+    bound = math.nextafter(max_dist, math.inf)
+    # Per-pair source rows and weights, masked down on every iteration.
+    all_rows = np.repeat(np.arange(n), kk)
+    all_pair_w = point_w[all_rows] / kk
     for iterations in range(1, params.max_iterations + 1):
         moved = _apply_planar(estimate, source_xyz)
-        dist, idx = index.query(moved, kk)
-        valid = dist <= params.max_correspondence_distance
-        matched_fraction = float(np.any(valid, axis=1).mean())
-        if iterations == 1 and matched_fraction < MIN_MATCHED_FRACTION:
-            raise NoCorrespondences(
-                f"only {matched_fraction:.0%} of source points matched within "
-                f"{params.max_correspondence_distance} m"
-            )
-        rows = np.repeat(np.arange(n), kk)[valid.ravel()]
-        ref_pts = index.points[idx.ravel()[valid.ravel()]]
-        pair_w = point_w[rows] / kk
-        update = _solve_planar(moved[rows, :2], ref_pts[:, :2], pair_w)
+        dist, idx = index.query(moved, kk, bound)
+        valid = dist <= max_dist
+        if iterations == 1:
+            matched_fraction = float(np.any(valid, axis=1).mean())
+            if matched_fraction < MIN_MATCHED_FRACTION:
+                raise NoCorrespondences(
+                    f"only {matched_fraction:.0%} of source points matched "
+                    f"within {max_dist} m"
+                )
+        # Misses hold index len(index); the mask drops them before the gather.
+        flat = valid.ravel()
+        rows = all_rows[flat]
+        src_xy = moved[rows, :2]
+        ref_xy = index.points[idx.ravel()[flat], :2]
+        pair_w = all_pair_w[flat]
+        update = _solve_planar(src_xy, ref_xy, pair_w)
         estimate = update.compose(estimate)
-        aligned = update.transform_xy(moved[rows, :2])
-        residual_sq = np.sum((aligned - ref_pts[:, :2]) ** 2, axis=1)
-        w_total = float(pair_w.sum())
-        final_cost = float((pair_w * residual_sq).sum() / w_total) if w_total > 0 else 0.0
         if (
             math.hypot(update.x, update.y) < params.translation_epsilon
             and abs(update.yaw) < params.rotation_epsilon
         ):
             break
+    # Statistics of the last iteration's pairs, as the update left them.
+    matched_fraction = float(np.any(valid, axis=1).mean())
+    residual_sq = np.sum((update.transform_xy(src_xy) - ref_xy) ** 2, axis=1)
+    w_total = float(pair_w.sum())
+    final_cost = float((pair_w * residual_sq).sum() / w_total) if w_total > 0 else 0.0
     delta = estimate.compose(prior.inverse())
     return IcpResult(delta, iterations, final_cost, matched_fraction)

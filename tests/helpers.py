@@ -11,7 +11,17 @@ import math
 import numpy as np
 
 from tiltro import PointCloud, PolarScan, UnitQuat
-from tiltro.geometry import _SLERP_DOT_LIMIT, quat_array_to_matrices, wrap_angle_array
+from tiltro.errors import NoCorrespondences
+from tiltro.geometry import (
+    _SLERP_DOT_LIMIT,
+    Pose2,
+    quat_array_conjugate,
+    quat_array_multiply,
+    quat_array_to_matrices,
+    wrap_angle_array,
+)
+from tiltro.params import Params
+from tiltro.registration import MIN_MATCHED_FRACTION, IcpResult, NnIndex
 from tiltro.sim import _deposit
 
 
@@ -70,6 +80,19 @@ def slerp(q0: UnitQuat, q1: UnitQuat, t: float) -> UnitQuat:
         sin_theta = math.sin(theta)
         out = (math.sin((1.0 - t) * theta) * a + math.sin(t * theta) * b) / sin_theta
     return UnitQuat(out[0], out[1], out[2], out[3])
+
+
+def unique_deskew(cloud: PointCloud, track) -> np.ndarray:
+    """Reference deskew through np.unique: one attitude per distinct time,
+    the earliest one as the reference.  Returns the deskewed positions."""
+    unique_t, inverse = np.unique(cloud.t, return_inverse=True)
+    quats = track.attitudes_at(unique_t)
+    q_ref = quats[:1]
+    rel = quat_array_multiply(
+        np.broadcast_to(quat_array_conjugate(q_ref), quats.shape), quats
+    )
+    rot = quat_array_to_matrices(rel)
+    return np.einsum("nij,nj->ni", rot[inverse], cloud.xyz)
 
 
 def random_scan(
@@ -201,3 +224,86 @@ def all_pairs_pole_scan(scenario, gt, t_start: int) -> np.ndarray:
     signal = np.zeros((n_a, n_r))
     _deposit(signal, rows, centers, amps)
     return np.clip(np.rint(signal), 0, 255).astype(np.uint8)
+
+
+# The ICP loop as it was before the bounded k-d search and the batched
+# planar solve, kept verbatim as the bit-exact oracle for
+# registration.icp_point_to_point.
+
+
+def _reference_solve_planar(src: np.ndarray, ref: np.ndarray, w: np.ndarray) -> Pose2:
+    """Weighted closed-form SE(2) alignment of matched planar pairs."""
+    w_total = float(w.sum())
+    if w_total <= 0.0:
+        return Pose2(0.0, 0.0, 0.0)
+    src_c = (w[:, None] * src).sum(axis=0) / w_total
+    ref_c = (w[:, None] * ref).sum(axis=0) / w_total
+    ds = src - src_c
+    dr = ref - ref_c
+    h_xx = float((w * ds[:, 0] * dr[:, 0]).sum())
+    h_xy = float((w * ds[:, 0] * dr[:, 1]).sum())
+    h_yx = float((w * ds[:, 1] * dr[:, 0]).sum())
+    h_yy = float((w * ds[:, 1] * dr[:, 1]).sum())
+    sin_term = h_xy - h_yx
+    cos_term = h_xx + h_yy
+    if abs(sin_term) < 1e-12 and abs(cos_term) < 1e-12:
+        # Rotation unobservable (e.g. all mass in one voxel): keep yaw fixed.
+        yaw = 0.0
+    else:
+        yaw = math.atan2(sin_term, cos_term)
+    c, s = math.cos(yaw), math.sin(yaw)
+    tx = ref_c[0] - (c * src_c[0] - s * src_c[1])
+    ty = ref_c[1] - (s * src_c[0] + c * src_c[1])
+    return Pose2(tx, ty, yaw)
+
+
+def _reference_apply_planar(pose: Pose2, xyz: np.ndarray) -> np.ndarray:
+    out = xyz.copy()
+    out[:, :2] = pose.transform_xy(xyz[:, :2])
+    return out
+
+
+def reference_icp(
+    source_xyz: np.ndarray,
+    weight: np.ndarray,
+    index: NnIndex,
+    prior: Pose2,
+    params: Params = Params(),
+) -> IcpResult:
+    """Unbounded k-d queries, and the matched fraction and cost recomputed
+    on every iteration."""
+    n = len(source_xyz)
+    if n == 0:
+        raise NoCorrespondences("source cloud is empty")
+    estimate = prior
+    point_w = weight if params.use_point_weights else np.ones(n)
+    kk = min(params.k_nn, len(index))
+    iterations = 0
+    final_cost = 0.0
+    matched_fraction = 0.0
+    for iterations in range(1, params.max_iterations + 1):
+        moved = _reference_apply_planar(estimate, source_xyz)
+        dist, idx = index.query(moved, kk)
+        valid = dist <= params.max_correspondence_distance
+        matched_fraction = float(np.any(valid, axis=1).mean())
+        if iterations == 1 and matched_fraction < MIN_MATCHED_FRACTION:
+            raise NoCorrespondences(
+                f"only {matched_fraction:.0%} of source points matched within "
+                f"{params.max_correspondence_distance} m"
+            )
+        rows = np.repeat(np.arange(n), kk)[valid.ravel()]
+        ref_pts = index.points[idx.ravel()[valid.ravel()]]
+        pair_w = point_w[rows] / kk
+        update = _reference_solve_planar(moved[rows, :2], ref_pts[:, :2], pair_w)
+        estimate = update.compose(estimate)
+        aligned = update.transform_xy(moved[rows, :2])
+        residual_sq = np.sum((aligned - ref_pts[:, :2]) ** 2, axis=1)
+        w_total = float(pair_w.sum())
+        final_cost = float((pair_w * residual_sq).sum() / w_total) if w_total > 0 else 0.0
+        if (
+            math.hypot(update.x, update.y) < params.translation_epsilon
+            and abs(update.yaw) < params.rotation_epsilon
+        ):
+            break
+    delta = estimate.compose(prior.inverse())
+    return IcpResult(delta, iterations, final_cost, matched_fraction)

@@ -100,9 +100,9 @@ def test_run_config_reaches_icp(chain, tmp_path, monkeypatch):
     ks = []
     query = NnIndex.query
 
-    def spying(self, queries, k):
+    def spying(self, queries, k, *bound):
         ks.append(k)
-        return query(self, queries, k)
+        return query(self, queries, k, *bound)
 
     monkeypatch.setattr(NnIndex, "query", spying)
     cfg = tmp_path / "config.txt"

@@ -19,7 +19,13 @@ from tiltro.frontend import (
 )
 from tiltro.geometry import UnitQuat
 
-from helpers import as_array, brute_force_k_strongest, random_scan, scan_points
+from helpers import (
+    as_array,
+    brute_force_k_strongest,
+    random_scan,
+    scan_points,
+    unique_deskew,
+)
 
 
 def _scan_from_rows(rows, dr=1.0):
@@ -287,6 +293,33 @@ def test_deskew_stage_and_empty_guards():
     np.testing.assert_array_equal(done.weight, cloud.weight)
     with pytest.raises(ValueError, match="empty"):
         deskew(_raw_cloud(np.empty((0, 3)), []), track)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    n_times=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    order=st.sampled_from(["sorted", "shuffled", "reversed"]),
+)
+def test_deskew_matches_unique_reference_in_any_time_order(n, n_times, seed, order):
+    # Runs of equal times, as k_strongest emits them, or the same points
+    # in any other order: every position matches the np.unique reference
+    # byte for byte.
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.choice(240_000_000, size=n_times, replace=False))
+    t = np.sort(rng.choice(times, size=n))
+    if order == "shuffled":
+        t = rng.permutation(t)
+    elif order == "reversed":
+        t = t[::-1]
+    cloud = _raw_cloud(rng.uniform(-40.0, 40.0, size=(n, 3)), t)
+    track = _track(
+        [0, 125_000_000, 250_000_000],
+        [(0.0, 0.0, 0.0), (0.05, -0.1, 0.4), (0.1, -0.2, 0.8)],
+    )
+    out = deskew(cloud, track)
+    assert out.xyz.tobytes() == unique_deskew(cloud, track).tobytes()
 
 
 def test_point_cloud_stage_and_subset():

@@ -21,7 +21,7 @@ from tiltro.registration import NnIndex
 from tiltro.sim import PathSegment, Pole, Scenario, simulate
 from tiltro.submaps import Atlas
 
-from helpers import approx_eq
+from helpers import approx_eq, as_array
 
 
 def _straight_scenario():
@@ -211,7 +211,11 @@ def test_predict_is_constant_velocity_plus_imu_yaw(perfect_track):
         t=t0,
     )
     t1 = t0 + 250_000_000
-    pose = predict(state, t1, perfect_track)
+    pose, attitude = predict(state, t1, perfect_track)
+    # The attitude at the target comes from the same batched query.
+    np.testing.assert_array_equal(
+        as_array(attitude), as_array(perfect_track.attitude_at(t1))
+    )
     assert pose.x == pytest.approx(3.0 + 2.0 * 0.25)
     assert pose.y == pytest.approx(-1.0 + 0.5 * 0.25)
     # Straight dwell segment: IMU yaw is constant, so yaw carries over.
@@ -265,9 +269,9 @@ def nn_query_ks(monkeypatch):
     ks = []
     query = NnIndex.query
 
-    def spying(self, queries, k):
+    def spying(self, queries, k, *bound):
         ks.append(k)
-        return query(self, queries, k)
+        return query(self, queries, k, *bound)
 
     monkeypatch.setattr(NnIndex, "query", spying)
     return ks
@@ -300,7 +304,7 @@ def test_process_scan_reads_params_from_the_atlas(
     assert nn_query_ks and set(nn_query_ks) == {2}
 
 
-def test_process_scan_queries_attitude_at_most_three_times(
+def test_process_scan_queries_attitude_twice(
     straight_sim, perfect_track, monkeypatch
 ):
     calls = []
@@ -321,6 +325,6 @@ def test_process_scan_queries_attitude_at_most_three_times(
             state, scan, perfect_track, atlas, scan_index=i
         )
         per_scan.append(len(calls))
-    assert max(per_scan) <= 3
-    # Every scan after the first predicts, reads its attitude and deskews.
-    assert per_scan[1:] == [3] * (len(scans) - 1)
+    # The first scan reads its attitude and deskews; every later one
+    # predicts, which also gives its attitude, and deskews.
+    assert per_scan == [2] * len(scans)

@@ -17,7 +17,7 @@ from tiltro.registration import (
     voxel_downsample,
 )
 
-from helpers import unique_voxel_downsample
+from helpers import reference_icp, unique_voxel_downsample
 
 
 EMPTY = np.empty((0, 3))
@@ -152,10 +152,18 @@ def test_nn_index_matches_brute_force():
         dist, idx = index.query(queries, k)
         full = np.linalg.norm(queries[:, None, :] - pts[None, :, :], axis=2)
         expect = np.argsort(full, axis=1)[:, :k]
+        expect_dist = np.take_along_axis(full, expect, axis=1)
         np.testing.assert_array_equal(idx, expect)
-        np.testing.assert_allclose(
-            dist, np.take_along_axis(full, expect, axis=1), atol=1e-9
-        )
+        np.testing.assert_allclose(dist, expect_dist, atol=1e-9)
+        # A bounded search keeps the neighbours inside the bound, in the
+        # same order, and fills the other slots with inf and index n.
+        bound = float(np.median(expect_dist))
+        b_dist, b_idx = index.query(queries, k, bound)
+        inside = expect_dist < bound
+        assert 0 < inside.sum() < inside.size
+        np.testing.assert_array_equal(b_idx, np.where(inside, expect, n))
+        np.testing.assert_array_equal(b_dist[inside], dist[inside])
+        assert np.all(np.isinf(b_dist[~inside]))
 
 
 def test_nn_index_empty_reference():
@@ -294,3 +302,62 @@ def test_icp_config_validation():
         Params(translation_epsilon=0.0)
     with pytest.raises(ValueError):
         Params(max_correspondence_distance=-1.0)
+
+
+@st.composite
+def _icp_cases(draw):
+    """Seeded clouds on a 2**-20 m lattice, where coordinate sums and
+    differences are exact: source points placed max_correspondence_distance
+    from a reference point along one axis lie exactly on the bound, and
+    duplicated reference rows tie exactly.  Distinct reference points at
+    exactly equal distances are left out; under a search bound the tree may
+    return those in another order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unit = 2.0**-20
+    n_ref = draw(st.integers(1, 40))
+    ref = rng.integers(-4 * 2**20, 4 * 2**20, size=(n_ref, 3)) * unit
+    ref = np.vstack([ref, ref[rng.integers(0, n_ref, draw(st.integers(0, 6)))]])
+    max_dist = draw(st.sampled_from([0.5, 1.0, 2.25]))
+    n_src = draw(st.integers(1, 40))
+    near = rng.integers(0, len(ref), n_src)
+    src = ref[near] + rng.integers(-2**20, 2**20, size=(n_src, 3)) * unit
+    on_bound = rng.random(n_src) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    src[on_bound] = ref[near[on_bound]]
+    axis = rng.integers(0, 3, on_bound.sum())
+    src[np.flatnonzero(on_bound), axis] += rng.choice([-max_dist, max_dist], axis.size)
+    weight = rng.uniform(0.0, 2.0, n_src)
+    weight[rng.random(n_src) < 0.2] = 0.0
+    prior = Pose2(
+        draw(st.sampled_from([0.0, 0.3])), 0.0, draw(st.sampled_from([0.0, 0.01, -0.2]))
+    )
+    params = Params(
+        k_nn=draw(st.sampled_from([1, 2, 4])),
+        max_correspondence_distance=max_dist,
+        max_iterations=draw(st.integers(1, 6)),
+        use_point_weights=draw(st.booleans()),
+    )
+    return src, weight, build_nn_index(ref), prior, params
+
+
+def _outcome(icp, case):
+    try:
+        return icp(*case)
+    except NoCorrespondences as err:
+        return str(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_icp_cases())
+def test_icp_matches_reference_loop_bit_for_bit(case):
+    got = _outcome(icp_point_to_point, case)
+    want = _outcome(reference_icp, case)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert (got.delta.x, got.delta.y, got.delta.yaw) == (
+        want.delta.x, want.delta.y, want.delta.yaw
+    )
+    assert got.iterations == want.iterations
+    assert got.final_cost == want.final_cost
+    assert got.matched_fraction == want.matched_fraction
+
