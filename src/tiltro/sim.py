@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
 
 import numpy as np
@@ -44,6 +45,30 @@ _MS_NS = 1_000_000
 _GAUSS_WINDOW = np.arange(-4, 6)  # bump support relative to floor(center)
 
 
+def _check_finite(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidScenario(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise InvalidScenario(f"{name} must be finite, got {value!r}")
+
+
+def _check_model(prefix: str, model, counts=(), positive=()) -> None:
+    """Every float field of a sensor model is a finite number, the
+    ``positive`` ones above zero; the ``counts`` are integers >= 1."""
+    for f in fields(model):
+        value = getattr(model, f.name)
+        name = f"{prefix}.{f.name}"
+        if f.name in counts:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidScenario(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise InvalidScenario(f"{name} must be at least 1, got {value}")
+        elif f.type == "float":
+            _check_finite(name, value)
+            if f.name in positive and value <= 0.0:
+                raise InvalidScenario(f"{name} must be positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RadarModel:
     azimuth_count: int = 400
@@ -58,6 +83,10 @@ class RadarModel:
     #: plane, which is what turns vehicle tilt into radar clutter.
     ground_reflectivity: float = 0.0
 
+    def __post_init__(self):
+        _check_model("radar", self, counts=("azimuth_count", "range_bin_count"),
+                     positive=("range_resolution", "rotation_period"))
+
     @property
     def period_ns(self) -> int:
         return int(round(self.rotation_period * 1e9))
@@ -70,6 +99,15 @@ class ImuModel:
     accel_noise_density: float = 0.002  # m/s^2/sqrt(Hz)
     gyro_bias: tuple[float, float, float] = (0.0, 0.0, 0.0)
     accel_bias: tuple[float, float, float] = (0.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        for name in ("gyro_bias", "accel_bias"):
+            bias = getattr(self, name)
+            if not (isinstance(bias, (tuple, list)) and len(bias) == 3):
+                raise InvalidScenario(f"imu.{name} must hold 3 numbers, got {bias!r}")
+            for v in bias:
+                _check_finite(f"imu.{name}", v)
+        _check_model("imu", self, positive=("rate",))
 
 
 @dataclass(frozen=True)
@@ -154,6 +192,8 @@ class Scenario:
         profile = tuple(tuple(float(v) for v in row) for row in self.tilt_profile)
         if any(len(row) != 3 for row in profile):
             raise InvalidScenario("tilt profile rows must be (s, pitch, roll)")
+        if not all(math.isfinite(v) for row in profile for v in row):
+            raise InvalidScenario("tilt profile values must be finite")
         if any(b[0] <= a[0] for a, b in zip(profile, profile[1:])):
             raise InvalidScenario("tilt profile arc lengths must increase")
         object.__setattr__(self, "tilt_profile", profile)
@@ -196,9 +236,11 @@ class Scenario:
             scenario = Scenario(
                 seed=int(doc.pop("seed")),
                 segments=tuple(PathSegment(**seg) for seg in doc.pop("segments")),
-                poles=_landmarks("poles", doc.pop("poles", []), Pole),
-                walls=_landmarks("walls", doc.pop("walls", []), Wall),
-                tilt_profile=tuple(tuple(row) for row in doc.pop("tilt_profile", [])),
+                poles=tuple(Pole(*row) for row in _number_rows("poles", doc)),
+                walls=tuple(Wall(*row) for row in _number_rows("walls", doc)),
+                tilt_profile=tuple(
+                    tuple(row) for row in _number_rows("tilt_profile", doc)
+                ),
                 radar=RadarModel(**doc.pop("radar", {})),
                 imu=ImuModel(**imu),
                 sensor_height=float(doc.pop("sensor_height", 0.5)),
@@ -215,13 +257,14 @@ class Scenario:
         return scenario
 
 
-def _landmarks(key: str, rows, cls) -> tuple:
-    """Pole or wall rows of a scenario document: lists of numbers in field
-    order, as ``Scenario.to_json`` writes them."""
+def _number_rows(key: str, doc: dict) -> list:
+    """Pops the pole, wall or tilt-profile rows of a scenario document:
+    lists of numbers in field order, as ``Scenario.to_json`` writes them."""
+    rows = doc.pop(key, [])
     for row in rows:
         if not (isinstance(row, list) and all(type(v) in (int, float) for v in row)):
             raise InvalidScenario(f"{key} rows must be lists of numbers, got {row!r}")
-    return tuple(cls(*row) for row in rows)
+    return rows
 
 
 def _stream(seed: int, stream_id: int) -> np.random.Generator:

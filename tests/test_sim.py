@@ -470,6 +470,27 @@ def test_scenario_landmark_rows_must_be_lists_of_numbers(section, rows):
         Scenario.from_json(json.dumps(_scenario_doc(**{section: rows})))
 
 
+@pytest.mark.parametrize(
+    "sections, match",
+    [
+        ({"imu": {"gyro_bias": [0.1, 0.2]}}, "gyro_bias"),
+        ({"imu": {"rate": -5.0}}, "rate must be positive"),
+        ({"radar": {"azimuth_count": 0}}, "azimuth_count must be at least 1"),
+        ({"tilt_profile": [["30", "0.1", "0"]]}, "tilt_profile rows"),
+        ({"radar": {"range_resolution": float("nan")}}, "range_resolution must be finite"),
+        ({"radar": {"rotation_period": 0.0}}, "rotation_period must be positive"),
+        ({"radar": {"range_bin_count": 1000.0}}, "range_bin_count must be an integer"),
+        ({"imu": {"accel_bias": [0.0, float("inf"), 0.0]}}, "accel_bias must be finite"),
+        ({"imu": {"gyro_noise_density": "0.1"}}, "gyro_noise_density must be a number"),
+    ],
+    ids=["short-bias", "negative-rate", "no-azimuths", "tilt-strings",
+         "nan-resolution", "zero-period", "float-count", "inf-bias", "string-noise"],
+)
+def test_scenario_rejects_bad_sensor_models_when_read(sections, match):
+    with pytest.raises(InvalidScenario, match=match):
+        Scenario.from_json(json.dumps(_scenario_doc(**sections)))
+
+
 def test_rectangle_loop_shape():
     sc = rectangle_loop()
     gt = generate_ground_truth(sc)
