@@ -181,7 +181,9 @@ def icp_point_to_point(
     kk = min(params.k_nn, len(index))
     max_dist = params.max_correspondence_distance
     # The tree's bound is strict, so searching just past max_dist finds
-    # every neighbour the "<= max_dist" mask keeps, in the unbounded order.
+    # every neighbour the "<= max_dist" mask keeps, nearest first.  Distinct
+    # neighbours at exactly equal distances may come back in another order
+    # than an unbounded search gives.
     bound = math.nextafter(max_dist, math.inf)
     # Per-pair source rows and weights, masked down on every iteration.
     all_rows = np.repeat(np.arange(n), kk)
