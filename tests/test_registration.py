@@ -310,8 +310,9 @@ def _icp_cases(draw):
     differences are exact: source points placed max_correspondence_distance
     from a reference point along one axis lie exactly on the bound, and
     duplicated reference rows tie exactly.  Distinct reference points at
-    exactly equal distances are left out; under a search bound the tree may
-    return those in another order."""
+    exactly equal distances are left out (random 23-bit coordinates make
+    them vanishingly rare): under a search bound the tree may return those
+    in another order."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     unit = 2.0**-20
     n_ref = draw(st.integers(1, 40))
