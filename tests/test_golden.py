@@ -3,8 +3,8 @@ chain.
 
 Byte identity is the project's equivalence check for refactors and speed-ups.
 These tests simulate ``tilt_step_course(1)``, compare the SHA-256 of the
-``imu.csv``, ``ground_truth.csv`` and scenario echo that ``write_dataset``
-writes, then run estimate_bias -> run_filter -> run_odometry under the
+scan files, ``imu.csv``, ``ground_truth.csv`` and scenario echo that
+``write_dataset`` writes, then run estimate_bias -> run_filter -> run_odometry under the
 defaults and under each ablation switch and compare the digests of the
 written trajectory and diagnostics CSVs.  One more chain runs the whole of
 ``quarry_course(1)`` under the defaults, where the tilt gate acts with tilt
@@ -33,9 +33,11 @@ from tiltro.io import (
 from tiltro.pipeline import run_odometry
 from tiltro.sim import quarry_course, simulate, tilt_step_course
 
-#: dataset file -> SHA-256 of what ``write_dataset`` writes for the course;
-#: ``scenario.echo`` holds ``Scenario.to_json()``.
+#: dataset files -> SHA-256 of what ``write_dataset`` writes for the course,
+#: over the matching files' bytes in name order; ``scenario.echo`` holds
+#: ``Scenario.to_json()``.
 GOLDEN_DATASET = {
+    "scans/*.frad": "19637de50c60813a1bedecd4d321936d6858b7219b1e6d7cebb10f10201804f9",
     "imu.csv": "e6e020391a1b8c59b6cecf25229b715bc4c4f57f413defc036e62d34c49ad3e5",
     "ground_truth.csv": "60a4dd549b37fba00ced8d19efffdf8a1c18e4e3a36d627595cc2bdb9da06f72",
     "scenario.echo": "b3156f8bb60cacbb11918ec590c36c0643ab42b2ff1f7170f654ecfcb58a4fff",
@@ -119,8 +121,11 @@ def tilt_step():
     return _simulated(tilt_step_course(1))
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(*paths: Path) -> str:
+    h = hashlib.sha256()
+    for path in paths:
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 def _run_digests(sim, track, out: Path, **switches) -> tuple[str, str]:
@@ -153,11 +158,12 @@ def test_golden_digests_where_the_gate_acts_with_search_on(tmp_path):
 
 def test_simulate_digests(tilt_step, tmp_path):
     scenario, sim, _ = tilt_step
-    # No scans: their container has its own round-trip tests, and the
-    # digests pin the text formats.
-    write_dataset(tmp_path, [], sim.imu, sim.gt_t, sim.gt_pos, sim.gt_quats,
-                  scenario_text=scenario.to_json())
-    got = {name: _sha256(tmp_path / name) for name in GOLDEN_DATASET}
+    write_dataset(tmp_path, sim.scans, sim.imu, sim.gt_t, sim.gt_pos,
+                  sim.gt_quats, scenario_text=scenario.to_json())
+    got = {
+        pattern: _sha256(*sorted(tmp_path.glob(pattern)))
+        for pattern in GOLDEN_DATASET
+    }
     assert got == GOLDEN_DATASET, (
         f"simulate's dataset bytes changed. Digests taken on "
         f"{REFERENCE_HOST}; this host: {_host()}"
