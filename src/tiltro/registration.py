@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import EmptyReference, NoCorrespondences
 from .geometry import Pose2
@@ -83,6 +82,9 @@ class NnIndex:
         points = np.asarray(points, dtype=float).reshape(-1, 3)
         if points.shape[0] == 0:
             raise EmptyReference("cannot index an empty reference cloud")
+        # Deferred so that commands which build no index never load scipy.
+        from scipy.spatial import cKDTree
+
         self.points = points
         self._tree = cKDTree(points)
 
