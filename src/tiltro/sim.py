@@ -408,18 +408,33 @@ def generate_ground_truth(
     return GroundTruth(ts, pos, quats)
 
 
-def _deposit(signal: np.ndarray, az_idx: np.ndarray, centers: np.ndarray,
-             amps: np.ndarray) -> None:
-    """Accumulate unit-sigma Gaussian bumps into the intensity grid."""
+def _deposit(bumps: list, az_idx: np.ndarray, centers: np.ndarray,
+             amps: np.ndarray, n_r: int) -> None:
+    """Append the (flat cell, value) pairs of unit-sigma Gaussian range
+    bumps, one per row of ``az_idx``, to ``bumps``."""
     if az_idx.size == 0:
         return
-    n_r = signal.shape[1]
     base = np.floor(centers).astype(np.int64)
     bins = base[:, None] + _GAUSS_WINDOW[None, :]
     values = amps[:, None] * np.exp(-0.5 * (bins - centers[:, None]) ** 2)
     ok = (bins >= 0) & (bins < n_r)
-    rows = np.broadcast_to(az_idx[:, None], bins.shape)[ok]
-    np.add.at(signal, (rows, bins[ok]), values[ok])
+    cells = az_idx[:, None] * n_r + bins
+    bumps.append((cells[ok], values[ok]))
+
+
+def _add_bumps(grid: np.ndarray, bumps: list) -> None:
+    """Add the deposited values to the C-ordered grid.
+
+    Each touched cell gets its values summed from 0.0 in deposit order, the
+    order ``np.add.at`` on a zero grid adds them in, and the sum is added
+    to the cell once, so no dense signal grid is needed.
+    """
+    if not bumps:
+        return
+    cells = np.concatenate([c for c, _ in bumps])
+    values = np.concatenate([v for _, v in bumps])
+    touched, slot = np.unique(cells, return_inverse=True)
+    grid.reshape(-1)[touched] += np.bincount(slot, weights=values)
 
 
 def _pole_candidates(pos: np.ndarray, ray_bearing: np.ndarray,
@@ -479,7 +494,7 @@ def render_scan(scenario: Scenario, gt: GroundTruth, t_start: int) -> PolarScan:
     e_half = math.radians(radar.elevation_half_width_deg)
     max_range = n_r * radar.range_resolution
 
-    signal = np.zeros((n_a, n_r))
+    bumps: list = []
 
     if scenario.poles:
         p = np.array([[q.x, q.y, q.base_z, q.height, q.reflectivity]
@@ -501,7 +516,7 @@ def render_scan(scenario: Scenario, gt: GroundTruth, t_start: int) -> PolarScan:
         rows, cols, slant = rows[hit], cols[hit], slant[hit]
         amps = np.minimum(p[cols, 4] * radar.reference_range / slant, 255.0)
         centers = slant / radar.range_resolution - 0.5
-        _deposit(signal, rows, centers, amps)
+        _deposit(bumps, rows, centers, amps, n_r)
 
     for wall in scenario.walls:
         seg = np.array([wall.x2 - wall.x1, wall.y2 - wall.y1])
@@ -523,7 +538,7 @@ def render_scan(scenario: Scenario, gt: GroundTruth, t_start: int) -> PolarScan:
             wall.reflectivity * radar.reference_range / slant[rows], 255.0
         )
         centers = slant[rows] / radar.range_resolution - 0.5
-        _deposit(signal, rows, centers, amps)
+        _deposit(bumps, rows, centers, amps, n_r)
 
     if radar.ground_reflectivity > 0.0:
         # Diffuse ground speckle: down-pointing rays return energy from the
@@ -541,12 +556,12 @@ def render_scan(scenario: Scenario, gt: GroundTruth, t_start: int) -> PolarScan:
         rows = np.nonzero(ok)[0]
         amps = np.minimum(radar.ground_reflectivity * amp_jitter[rows], 255.0)
         centers = slant[rows] / radar.range_resolution - 0.5 + bin_jitter[rows]
-        _deposit(signal, rows, centers, amps)
+        _deposit(bumps, rows, centers, amps, n_r)
 
     rng = _stream(scenario.seed, _NOISE_STREAM_BASE + scan_index)
     grid = rng.normal(radar.noise_floor_mean, max(radar.noise_floor_sigma, 0.0),
                       (n_a, n_r))
-    grid += signal
+    _add_bumps(grid, bumps)
     np.rint(grid, out=grid)
     np.clip(grid, 0, 255, out=grid)
     return PolarScan(azimuths, t_az, grid.astype(np.uint8), radar.range_resolution)

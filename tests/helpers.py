@@ -22,7 +22,7 @@ from tiltro.geometry import (
 )
 from tiltro.params import Params
 from tiltro.registration import MIN_MATCHED_FRACTION, IcpResult, NnIndex
-from tiltro.sim import _deposit
+from tiltro.sim import _GAUSS_WINDOW
 
 
 # Scalar quaternion oracles for the batched quat_array_* and slerp_array
@@ -222,8 +222,23 @@ def all_pairs_pole_scan(scenario, gt, t_start: int) -> np.ndarray:
     amps = np.minimum(p[cols, 4] * radar.reference_range / slant[rows, cols], 255.0)
     centers = slant[rows, cols] / radar.range_resolution - 0.5
     signal = np.zeros((n_a, n_r))
-    _deposit(signal, rows, centers, amps)
+    dense_deposit(signal, rows, centers, amps)
     return np.clip(np.rint(signal), 0, 255).astype(np.uint8)
+
+
+def dense_deposit(signal: np.ndarray, az_idx: np.ndarray, centers: np.ndarray,
+                  amps: np.ndarray) -> None:
+    """Reference bump deposit: accumulate unit-sigma Gaussian range bumps
+    into a dense (azimuth, range bin) grid with ``np.add.at``."""
+    if az_idx.size == 0:
+        return
+    n_r = signal.shape[1]
+    base = np.floor(centers).astype(np.int64)
+    bins = base[:, None] + _GAUSS_WINDOW[None, :]
+    values = amps[:, None] * np.exp(-0.5 * (bins - centers[:, None]) ** 2)
+    ok = (bins >= 0) & (bins < n_r)
+    rows = np.broadcast_to(az_idx[:, None], bins.shape)[ok]
+    np.add.at(signal, (rows, bins[ok]), values[ok])
 
 
 # The ICP loop as it was before the bounded k-d search and the batched

@@ -22,13 +22,15 @@ from tiltro.sim import (
     generate_ground_truth,
     quarry_course,
     rectangle_loop,
+    _add_bumps,
+    _deposit,
     render_scan,
     simulate,
     synthesize_imu,
     tilt_step_course,
 )
 
-from helpers import all_pairs_pole_scan
+from helpers import all_pairs_pole_scan, dense_deposit
 
 _DEG = math.radians(1.0)
 
@@ -304,6 +306,26 @@ def test_render_pole_window_matches_all_pairs_hit_test(sc):
         reach = np.hypot(*(pos[:, :2] - mean).T).max()
         passed_within_reach += np.hypot(*(p_xy - mean).T).min() <= reach
     assert passed_within_reach > 0
+
+
+def test_bump_sums_match_dense_add_at_bit_for_bit():
+    rng = np.random.default_rng(5)
+    n_a, n_r = 40, 60
+    noise = rng.normal(35.0, 5.0, (n_a, n_r))
+    dense = np.zeros((n_a, n_r))
+    bumps: list = []
+    # Three batches, like poles, walls and ground, that pile many bumps onto
+    # the same cells and run past both ends of the range axis.
+    for size in (300, 50, 200):
+        az = rng.integers(0, n_a, size)
+        centers = rng.uniform(-6.0, n_r + 6.0, size)
+        amps = rng.uniform(0.0, 255.0, size)
+        dense_deposit(dense, az, centers, amps)
+        _deposit(bumps, az, centers, amps, n_r)
+    _deposit(bumps, np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), n_r)
+    got = noise.copy()
+    _add_bumps(got, bumps)
+    assert got.tobytes() == (noise + dense).tobytes()
 
 
 def test_static_imu_statistics():
