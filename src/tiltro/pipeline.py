@@ -161,7 +161,14 @@ def process_scan(
     if len(raw) == 0:
         diag.reason = "empty-scan"
     else:
-        deskewed = deskew(raw, track)
+        try:
+            deskewed = deskew(raw, track)
+        except TiltroError as err:
+            # The sweep runs past the track: publish the prior, and leave
+            # the atlas alone rather than add points with a wrong attitude.
+            diag.reason = f"attitude-unavailable: {err}"
+            new_state = OdomState(prior, (0.0, 0.0), q_now, t_scan)
+            return new_state, atlas, diag
         gated = deskewed
         if match is not None and tilt_gate_enabled:
             try:

@@ -18,7 +18,15 @@ from tiltro.pipeline import (
     run_odometry,
 )
 from tiltro.registration import NnIndex
-from tiltro.sim import PathSegment, Pole, Scenario, simulate
+from tiltro.sim import (
+    PathSegment,
+    Pole,
+    Scenario,
+    generate_ground_truth,
+    render_scan,
+    simulate,
+    tilt_step_course,
+)
 from tiltro.submaps import Atlas
 
 from helpers import approx_eq, as_array
@@ -199,6 +207,42 @@ def test_distant_atlas_forces_miss_with_velocity_reset(straight_sim, perfect_tra
         new_state.attitude, perfect_track.attitude_at(scan.t_start), tol=1e-9
     )
     assert len(atlas) == 2  # the scan seeded a fresh submap
+
+
+def test_sweep_past_the_track_end_is_an_attitude_miss():
+    # The track ends 100 ms into scan 20's sweep: predict's query at the
+    # scan start is inside the track, deskew's later azimuths are not.
+    sc = tilt_step_course(1)
+    gt = generate_ground_truth(sc)
+    period = sc.radar.period_ns
+    scans = [render_scan(sc, gt, gt.t_start + i * period) for i in range(21)]
+    t20 = scans[20].t_start
+    keep = gt.t <= t20 + 100_000_000
+    track = AttitudeTrack(gt.t[keep], gt.quats[keep])
+
+    states, diags = run_odometry(scans, track)
+    assert diags[19].hit
+    diag = diags[20]
+    assert diag.reason.startswith("attitude-unavailable: ")
+    assert "outside track span" in diag.reason
+    assert not diag.hit and diag.raw_points > 0
+    prior, q20 = predict(states[19], t20, track)
+    published = states[20]
+    assert (published.pose, published.velocity, published.t) == (prior, (0.0, 0.0), t20)
+    assert as_array(published.attitude).tolist() == as_array(q20).tolist()
+    assert diag.atlas_size == diags[19].atlas_size
+
+    atlas = Atlas()
+    state = initial_state(track, scans[0].t_start)
+    for i, scan in enumerate(scans[:20]):
+        state, atlas, _ = process_scan(state, scan, track, atlas, scan_index=i)
+    before = [(s.submap_id, s.anchor, s.points.copy()) for s in atlas.submaps]
+    _, atlas, _ = process_scan(state, scans[20], track, atlas, scan_index=20)
+    after = [(s.submap_id, s.anchor, s.points) for s in atlas.submaps]
+    assert len(after) == len(before)
+    for (id0, anchor0, pts0), (id1, anchor1, pts1) in zip(before, after):
+        assert (id0, anchor0) == (id1, anchor1)
+        assert pts0.tobytes() == pts1.tobytes()
 
 
 def test_predict_is_constant_velocity_plus_imu_yaw(perfect_track):
