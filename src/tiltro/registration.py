@@ -33,15 +33,16 @@ class IcpResult:
 
 
 def voxel_downsample(
-    xyz: np.ndarray, weight: np.ndarray, edge: float
+    xyz: np.ndarray, weight: np.ndarray | None, edge: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """One point per occupied voxel (cell floor(p / edge)) at the
     weight-weighted centroid of its (N, 3) members.
 
     Returns the (M, 3) centroids and each voxel's mean weight.  Under unit
-    weights a centroid is exactly the plain mean of its members.  Output
-    order follows the lexicographically sorted voxel coordinates and is
-    deterministic.
+    weights a centroid is exactly the plain mean of its members;
+    ``weight=None`` means unit weights and skips the weight arithmetic,
+    with the same bytes as an array of ones.  Output order follows the
+    lexicographically sorted voxel coordinates and is deterministic.
     """
     if edge <= 0.0:
         raise ValueError("voxel edge must be positive")
@@ -61,6 +62,9 @@ def voxel_downsample(
     inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
     counts = np.diff(first, append=len(order))
+    if weight is None:
+        sums = [np.bincount(inverse, weights=xyz[:, i], minlength=m) for i in range(3)]
+        return np.column_stack(sums) / counts[:, None], np.ones(m)
     # Zero-total-weight voxels fall back to unweighted averaging.
     w_sum = np.bincount(inverse, weights=weight, minlength=m)
     zero = w_sum <= 0.0

@@ -152,12 +152,10 @@ def update_atlas(
         and _tilt_compatible(atlas, matched, roll, pitch)
     ):
         stacked = np.vstack([matched.points, world])
-        matched.points, _ = voxel_downsample(
-            stacked, np.ones(len(stacked)), atlas.params.d_voxel
-        )
+        matched.points, _ = voxel_downsample(stacked, None, atlas.params.d_voxel)
         matched._nn_index = None
     else:
         next_id = max((s.submap_id for s in atlas.submaps), default=-1) + 1
-        points, _ = voxel_downsample(world, np.ones(len(world)), atlas.params.d_voxel)
+        points, _ = voxel_downsample(world, None, atlas.params.d_voxel)
         atlas.submaps.append(Submap(next_id, pose, (roll, pitch), points))
     return atlas

@@ -129,6 +129,17 @@ def test_build_voxel_index_matches_unique_reference(case):
         assert a.tobytes() == b.tobytes(), name
 
 
+@settings(max_examples=200, deadline=None)
+@given(_voxel_cases())
+def test_voxel_downsample_without_weights_equals_unit_weights(case):
+    xyz, _, edge = case
+    got = voxel_downsample(xyz, None, edge)
+    expect = voxel_downsample(xyz, np.ones(len(xyz)), edge)
+    for name, a, b in zip(("centroids", "weight"), got, expect):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 def test_nn_index_examples():
     index = build_nn_index(_points([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [3.0, 0.0, 0.0]]))
     dist, idx = index.query(np.array([[1.0, 0.0, 0.0]]), 1)
