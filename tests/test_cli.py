@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tiltro
 from tiltro.cli import main
 from tiltro.io import (
     read_ground_truth_csv,
@@ -230,6 +231,47 @@ def test_eval_rejects_too_short_overlap(chain, tmp_path, capsys):
     assert rc == 2
     assert "error" in captured.err
     assert not out.exists()
+
+
+#: Runs ``simulate`` and ``eval`` through ``tiltro.cli.main`` in a fresh
+#: interpreter, then builds one index; prints whether ``scipy.spatial`` was
+#: loaded after each step.
+_SCIPY_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+loaded = {}
+from tiltro.cli import main
+loaded["import tiltro"] = "scipy.spatial" in sys.modules
+for step, argv in zip(("simulate", "eval"), sys.argv[2:]):
+    assert main(json.loads(argv)) == 0
+    loaded[step] = "scipy.spatial" in sys.modules
+from tiltro.registration import NnIndex
+NnIndex([[0.0, 0.0, 0.0]])
+loaded["NnIndex"] = "scipy.spatial" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_an_index_build_loads_scipy_spatial(chain, tmp_path):
+    # Module names, not timings, so the host's speed cannot flake it.
+    simulate = ["simulate", "--scenario", str(chain / "scenario.json"),
+                "--out", str(tmp_path / "ds"), "--duration", "1"]
+    evaluate = ["eval", "--est", str(chain / "traj.csv"),
+                "--gt", str(chain / "ds" / "ground_truth.csv"),
+                "--segment", "10", "--out", str(tmp_path / "rte.csv")]
+    src = Path(tiltro.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(src),
+         json.dumps(simulate), json.dumps(evaluate)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "import tiltro": False,
+        "simulate": False,
+        "eval": False,
+        "NnIndex": True,
+    }
 
 
 def test_console_script_is_installed():
