@@ -63,7 +63,9 @@ def voxel_downsample(
     inverse[order] = np.cumsum(starts) - 1
     counts = np.diff(first, append=len(order))
     if weight is None:
-        sums = [np.bincount(inverse, weights=xyz[:, i], minlength=m) for i in range(3)]
+        sums = [
+            np.bincount(inverse, weights=xyz[:, i], minlength=m) for i in range(3)
+        ]
         return np.column_stack(sums) / counts[:, None], np.ones(m)
     # Zero-total-weight voxels fall back to unweighted averaging.
     w_sum = np.bincount(inverse, weights=weight, minlength=m)
