@@ -4,9 +4,9 @@ chain.
 Byte identity is the project's equivalence check for refactors and speed-ups.
 These tests simulate ``tilt_step_course(1)``, compare the SHA-256 of the
 scan files, ``imu.csv``, ``ground_truth.csv`` and scenario echo that
-``write_dataset`` writes, then run estimate_bias -> run_filter -> run_odometry under the
-defaults and under each ablation switch and compare the digests of the
-written trajectory and diagnostics CSVs.  One more chain runs the whole of
+``write_dataset`` writes, then run estimate_bias -> run_filter ->
+run_odometry under the defaults and under each ablation switch and compare
+the digests of the written trajectory and diagnostics CSVs.  One more chain runs the whole of
 ``quarry_course(1)`` under the defaults, where the tilt gate acts with tilt
 search on.  A change that alters the bytes on
 purpose updates the digests and says so.
