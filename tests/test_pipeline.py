@@ -1,16 +1,20 @@
 """End-to-end tests for the per-scan odometry state machine."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltro.attitude import AttitudeTrack
-from tiltro.frontend import PolarScan
+from tiltro.frontend import MAX_SCAN_SPAN_NS, PolarScan, k_strongest
 from tiltro.geometry import Pose2, UnitQuat
 from tiltro.params import Params
 from tiltro.pipeline import (
+    MAX_PLAUSIBLE_SPEED,
+    OdomState,
     ScanDiagnostics,
     initial_state,
     predict,
@@ -27,7 +31,7 @@ from tiltro.sim import (
     simulate,
     tilt_step_course,
 )
-from tiltro.submaps import Atlas
+from tiltro.submaps import Atlas, update_atlas
 
 from helpers import approx_eq, as_array
 
@@ -185,8 +189,6 @@ def test_distant_atlas_forces_miss_with_velocity_reset(straight_sim, perfect_tra
     )
     atlas = Atlas()
     # Seed a submap far outside r_submap so the search must miss.
-    from tiltro.submaps import update_atlas
-
     rng = np.random.default_rng(72)
     far = rng.uniform(-10.0, 10.0, size=(30, 3))
     far[:, 2] = 0.0
@@ -243,6 +245,154 @@ def test_sweep_past_the_track_end_is_an_attitude_miss():
     for (id0, anchor0, pts0), (id1, anchor1, pts1) in zip(before, after):
         assert (id0, anchor0) == (id1, anchor1)
         assert pts0.tobytes() == pts1.tobytes()
+
+
+@pytest.mark.parametrize("offset_ns", [0, 1_000_000], ids=["at", "after"])
+def test_scan_not_after_the_state_is_a_no_time_baseline_miss(
+    straight_sim, perfect_track, offset_ns
+):
+    # Without elapsed time there is no velocity to check ICP against, so a
+    # matched scan skips registration and seeds a fresh submap.
+    scan = straight_sim.scans[5]
+    atlas = Atlas()
+    state = initial_state(perfect_track, scan.t_start)
+    state, atlas, first = process_scan(state, scan, perfect_track, atlas)
+    assert first.reason == "no-submap" and len(atlas) == 1
+    state = replace(state, velocity=(1.0, 0.5), t=scan.t_start + offset_ns)
+
+    published, atlas, diag = process_scan(
+        state, scan, perfect_track, atlas, scan_index=5
+    )
+    assert diag.reason == "no-time-baseline"
+    assert not diag.hit and diag.submap_id == 0
+    assert diag.raw_points == diag.filtered_points > diag.downsampled_points > 0
+    assert diag.icp_iterations == 0 and math.isnan(diag.icp_cost)
+    assert (published.pose, published.velocity, published.t) == (
+        state.pose,
+        (0.0, 0.0),
+        scan.t_start,
+    )
+    assert as_array(published.attitude).tolist() == as_array(
+        perfect_track.attitude_at(scan.t_start)
+    ).tolist()
+    assert len(atlas) == diag.atlas_size == 2
+
+
+def test_implausible_icp_speed_is_a_divergence_miss(straight_sim, perfect_track):
+    # A state 5 us before the scan turns any ICP correction into a speed
+    # far above MAX_PLAUSIBLE_SPEED.
+    scans = straight_sim.scans[:13]
+    atlas = Atlas()
+    state = initial_state(perfect_track, scans[0].t_start)
+    for i, scan in enumerate(scans[:12]):
+        state, atlas, _ = process_scan(state, scan, perfect_track, atlas, scan_index=i)
+    state = replace(state, t=scans[12].t_start - 5_000)
+    size = len(atlas)
+
+    published, atlas, diag = process_scan(
+        state, scans[12], perfect_track, atlas, scan_index=12
+    )
+    assert diag.reason == "divergence" and not diag.hit
+    assert diag.icp_iterations > 0
+    assert math.isfinite(diag.icp_cost) and diag.matched_fraction > 0.0
+    prior, attitude = predict(state, scans[12].t_start, perfect_track)
+    assert (published.pose, published.velocity, published.t) == (
+        prior,
+        (0.0, 0.0),
+        scans[12].t_start,
+    )
+    assert as_array(published.attitude).tolist() == as_array(attitude).tolist()
+    assert len(atlas) == diag.atlas_size == size + 1
+
+
+def test_gate_rejecting_every_point_prefixes_the_outcome():
+    # tau_tilt = 1 keeps only points with no vertical displacement at all.
+    # With tilt search off, the first scan after the 8 deg step still
+    # matches the level submap, the gate acts and rejects everything, and
+    # the scan registers ungated.
+    sc = tilt_step_course(1)
+    gt = generate_ground_truth(sc)
+    period = sc.radar.period_ns
+    scans = [render_scan(sc, gt, gt.t_start + i * period) for i in range(94, 102)]
+    track = AttitudeTrack(gt.t, gt.quats)
+
+    _, diags = run_odometry(
+        scans, track, Params(tau_tilt=1.0), tilt_search_enabled=False
+    )
+    diag = diags[-1]
+    assert diag.tilt_deg >= 3.0
+    assert diag.reason.startswith("gate-rejected-all;")
+    assert diag.filtered_points == diag.raw_points > 0
+    assert all(not d.reason.startswith("gate-rejected-all;") for d in diags[:-1])
+
+
+@st.composite
+def _scan_cases(draw):
+    """A random finite scan and roll/pitch track, a state whose time lies
+    before, at or after the scan's start, and an atlas that is empty,
+    holds random points, or holds the scan's own returns at the state's
+    pose, so that every outcome from a hit to a miss is drawn."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tilt = draw(st.sampled_from([0.0, 0.02, 0.3]))
+    n_a = draw(st.integers(1, 32))
+    n_r = int(rng.integers(1, 257))
+    t_state = 10**12
+    t_scan = t_state + draw(st.sampled_from([-100_000_000, 0, 1, 250_000_000]))
+    step = 2.0 * math.pi / n_a
+    azimuths = np.arange(n_a) * step + rng.uniform(0.0, step)
+    times = t_scan + np.sort(rng.integers(0, MAX_SCAN_SPAN_NS + 1, n_a))
+    fill = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    intensity = rng.integers(0, 256, (n_a, n_r)) * (rng.random((n_a, n_r)) < fill)
+    scan = PolarScan(
+        azimuths,
+        times,
+        intensity.astype(np.uint8),
+        draw(st.sampled_from([0.4, 1.0])),
+    )
+    # Usually the track covers the state and the whole sweep; a short one
+    # ends inside it.
+    span = draw(st.sampled_from([300_000_000, 1_200_000_000, 1_200_000_000]))
+    inner = rng.integers(1, span, draw(st.integers(0, 10)))
+    track_t = t_state - 200_000_000 + np.unique(np.concatenate([[0, span], inner]))
+    rpy = rng.uniform(-1.0, 1.0, (len(track_t), 3)) * [tilt, tilt, 3.0]
+    track = AttitudeTrack(track_t, [as_array(UnitQuat.from_rpy(*a)) for a in rpy])
+    state = OdomState(
+        Pose2(*rng.uniform(-30.0, 30.0, 2), rng.uniform(-math.pi, math.pi)),
+        tuple(rng.uniform(-5.0, 5.0, 2)),
+        track.attitude_at(t_state),
+        t_state,
+    )
+    atlas = Atlas()
+    seed = draw(st.sampled_from(["empty", "random", "own-returns"]))
+    params = atlas.params
+    if seed == "random":
+        points = rng.uniform(-40.0, 40.0, (int(rng.integers(1, 200)), 3))
+        points[:, 2] *= 0.05
+        update_atlas(atlas, points, state.pose, state.attitude, None)
+    elif seed == "own-returns":
+        raw = k_strongest(scan, params.k, params.r_min, params.r_max, params.tau_raw)
+        if len(raw):
+            update_atlas(atlas, raw.xyz, state.pose, state.attitude, None)
+    switches = {
+        "tilt_gate_enabled": draw(st.booleans()),
+        "tilt_search_enabled": draw(st.booleans()),
+    }
+    return state, scan, track, atlas, switches
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scan_cases())
+def test_process_scan_never_raises_or_publishes_non_finite_state(case):
+    state, scan, track, atlas, switches = case
+    published, atlas, diag = process_scan(state, scan, track, atlas, **switches)
+    assert published.t == diag.t == scan.t_start
+    pose = published.pose
+    assert np.isfinite([pose.x, pose.y, pose.yaw, *published.velocity]).all()
+    assert np.isfinite(as_array(published.attitude)).all()
+    assert math.hypot(*published.velocity) < MAX_PLAUSIBLE_SPEED
+    if not diag.hit:
+        assert published.velocity == (0.0, 0.0)
+    assert diag.atlas_size == len(atlas)
 
 
 def test_predict_is_constant_velocity_plus_imu_yaw(perfect_track):
