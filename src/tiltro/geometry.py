@@ -72,6 +72,14 @@ class UnitQuat:
         self.y = y
         self.z = z
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UnitQuat):
+            return NotImplemented
+        return (self.w, self.x, self.y, self.z) == (other.w, other.x, other.y, other.z)
+
+    def __hash__(self) -> int:
+        return hash((self.w, self.x, self.y, self.z))
+
     @staticmethod
     def identity() -> "UnitQuat":
         return UnitQuat(1.0, 0.0, 0.0, 0.0)

@@ -229,9 +229,7 @@ def test_sweep_past_the_track_end_is_an_attitude_miss():
     assert "outside track span" in diag.reason
     assert not diag.hit and diag.raw_points > 0
     prior, q20 = predict(states[19], t20, track)
-    published = states[20]
-    assert (published.pose, published.velocity, published.t) == (prior, (0.0, 0.0), t20)
-    assert as_array(published.attitude).tolist() == as_array(q20).tolist()
+    assert states[20] == OdomState(prior, (0.0, 0.0), q20, t20)
     assert diag.atlas_size == diags[19].atlas_size
 
     atlas = Atlas()
@@ -393,6 +391,17 @@ def test_process_scan_never_raises_or_publishes_non_finite_state(case):
     if not diag.hit:
         assert published.velocity == (0.0, 0.0)
     assert diag.atlas_size == len(atlas)
+
+
+def test_states_with_bit_equal_fields_are_equal_and_hash_equal(perfect_track):
+    t = perfect_track.t_start + 5
+    a = OdomState(Pose2(1.0, -2.0, 0.5), (0.25, 0.0), perfect_track.attitude_at(t), t)
+    b = OdomState(Pose2(1.0, -2.0, 0.5), (0.25, 0.0), perfect_track.attitude_at(t), t)
+    assert a.attitude is not b.attitude
+    assert a == b and hash(a) == hash(b)
+    q = a.attitude
+    assert replace(a, attitude=UnitQuat(q.w, q.x, q.y, math.nextafter(q.z, 1.0))) != a
+    assert len({a, b}) == 1
 
 
 def test_predict_is_constant_velocity_plus_imu_yaw(perfect_track):
