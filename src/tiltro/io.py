@@ -298,14 +298,8 @@ _CONFIG_FIELDS = {f.name: f.type for f in fields(Params)}
 
 
 def _parse_config_value(key: str, text: str, where: str):
-    ftype = _CONFIG_FIELDS[key]
-    if ftype == "bool":
-        low = text.lower()
-        if low in ("true", "false"):
-            return low == "true"
-        raise ConfigError(f"{where}: {key} must be true or false, got {text!r}")
     try:
-        if ftype == "int":
+        if _CONFIG_FIELDS[key] == "int":
             return int(text)
         return float(text)
     except ValueError as err:
@@ -344,9 +338,7 @@ def format_run_config(params: Params) -> str:
     lines = []
     for f in fields(Params):
         v = getattr(params, f.name)
-        if isinstance(v, bool):
-            text = "true" if v else "false"
-        elif isinstance(v, float):
+        if isinstance(v, float):
             text = repr(v)
         else:
             text = str(v)

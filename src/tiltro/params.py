@@ -28,7 +28,7 @@ class Params:
     its weight cutoff in (0, 1].
     r_submap: submap search and merge radius.
     k_nn, max_iterations, translation_epsilon, rotation_epsilon,
-    max_correspondence_distance, use_point_weights: planar ICP.
+    max_correspondence_distance: planar ICP.
     beta, static_window_s: attitude filter gain and the bias calibration
     window (s).
     """
@@ -47,7 +47,6 @@ class Params:
     translation_epsilon: float = 1e-3
     rotation_epsilon: float = 1e-4
     max_correspondence_distance: float = 5.0
-    use_point_weights: bool = True
     beta: float = 0.1
     static_window_s: float = 10.0
 

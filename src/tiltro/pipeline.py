@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 
 from .attitude import AttitudeTrack
 from .errors import TiltroError
-from .frontend import PointCloud, PolarScan, deskew, k_strongest
+from .frontend import PolarScan, deskew, k_strongest
 from .geometry import Pose2, UnitQuat, wrap_angle
 from .params import Params
 from .registration import icp_point_to_point, voxel_downsample
@@ -142,9 +142,12 @@ def process_scan(
             prior, q_now = state.pose, track.attitude_at(t_scan)
     except (TiltroError, ValueError) as err:
         # Without attitude there is nothing to correct; hold the pose.
-        new_state = replace(state, velocity=(0.0, 0.0), t=t_scan)
         diag.reason = f"attitude-unavailable: {err}"
-        return new_state, atlas, diag
+        return replace(state, velocity=(0.0, 0.0), t=t_scan), atlas, diag
+    # Miss: publish the constant-velocity prior for this scan; the zeroed
+    # velocity makes the next prediction conservative.  Only a plausible
+    # registration replaces this state.
+    new_state = OdomState(prior, (0.0, 0.0), q_now, t_scan)
 
     match = find_submap(atlas, prior, q_now, require_tilt=tilt_search_enabled)
     if match is not None:
@@ -153,72 +156,59 @@ def process_scan(
 
     raw = k_strongest(scan, params.k, params.r_min, params.r_max, params.tau_raw)
     diag.raw_points = len(raw)
-    deskewed: PointCloud | None = None
-    pose: Pose2 | None = None
-    velocity = (0.0, 0.0)
-    hit = False
-
     if len(raw) == 0:
         diag.reason = "empty-scan"
+        return new_state, atlas, diag
+    try:
+        deskewed = deskew(raw, track)
+    except TiltroError as err:
+        # The sweep runs past the track: publish the prior, and leave the
+        # atlas alone rather than add points with a wrong attitude.
+        diag.reason = f"attitude-unavailable: {err}"
+        return new_state, atlas, diag
+
+    gated = deskewed
+    if match is not None and tilt_gate_enabled:
+        try:
+            gated = tilt_filter(deskewed, match[1], params)
+        except TiltroError:
+            # Gate removed everything: fall back to the ungated cloud.
+            diag.reason = "gate-rejected-all;"
+    diag.filtered_points = len(gated)
+    compact, compact_w = voxel_downsample(gated.xyz, gated.weight, params.d_voxel)
+    diag.downsampled_points = len(compact)
+
+    registered_to = None
+    if match is None:
+        diag.reason += "no-submap"
+    elif dt <= 0.0:
+        diag.reason += "no-time-baseline"
     else:
         try:
-            deskewed = deskew(raw, track)
+            result = icp_point_to_point(
+                tilt_lift(compact, q_now),
+                compact_w,
+                match[0].nn_index(),
+                prior,
+                params,
+            )
         except TiltroError as err:
-            # The sweep runs past the track: publish the prior, and leave
-            # the atlas alone rather than add points with a wrong attitude.
-            diag.reason = f"attitude-unavailable: {err}"
-            new_state = OdomState(prior, (0.0, 0.0), q_now, t_scan)
-            return new_state, atlas, diag
-        gated = deskewed
-        if match is not None and tilt_gate_enabled:
-            try:
-                gated = tilt_filter(deskewed, match[1], params)
-            except TiltroError:
-                # Gate removed everything: fall back to the ungated cloud.
-                diag.reason = "gate-rejected-all;"
-        diag.filtered_points = len(gated)
-        compact, compact_w = voxel_downsample(gated.xyz, gated.weight, params.d_voxel)
-        diag.downsampled_points = len(compact)
-
-        if match is None:
-            diag.reason += "no-submap"
-        elif dt <= 0.0:
-            diag.reason += "no-time-baseline"
+            diag.reason += f"icp: {err}"
         else:
-            submap, _tilt = match
-            try:
-                result = icp_point_to_point(
-                    tilt_lift(compact, q_now),
-                    compact_w,
-                    submap.nn_index(),
-                    prior,
-                    params,
-                )
-                diag.icp_iterations = result.iterations
-                diag.icp_cost = result.final_cost
-                diag.matched_fraction = result.matched_fraction
-                candidate = result.delta.compose(prior)
-                vx = (candidate.x - state.pose.x) / dt
-                vy = (candidate.y - state.pose.y) / dt
-                if math.hypot(vx, vy) >= MAX_PLAUSIBLE_SPEED:
-                    diag.reason += "divergence"
-                else:
-                    pose = candidate
-                    velocity = (vx, vy)
-                    hit = True
-            except TiltroError as err:
-                diag.reason += f"icp: {err}"
+            diag.icp_iterations = result.iterations
+            diag.icp_cost = result.final_cost
+            diag.matched_fraction = result.matched_fraction
+            pose = result.delta.compose(prior)
+            vx = (pose.x - state.pose.x) / dt
+            vy = (pose.y - state.pose.y) / dt
+            if math.hypot(vx, vy) >= MAX_PLAUSIBLE_SPEED:
+                diag.reason += "divergence"
+            else:
+                new_state = OdomState(pose, (vx, vy), q_now, t_scan)
+                registered_to = match[0]
+                diag.hit = True
 
-    if pose is None:
-        # Miss: publish the constant-velocity prior for this scan; the
-        # zeroed velocity makes the next prediction conservative.
-        pose = prior
-
-    new_state = OdomState(pose=pose, velocity=velocity, attitude=q_now, t=t_scan)
-    diag.hit = hit
-
-    if deskewed is not None:
-        update_atlas(atlas, deskewed.xyz, pose, q_now, match[0] if hit else None)
+    update_atlas(atlas, deskewed.xyz, new_state.pose, q_now, registered_to)
     diag.atlas_size = len(atlas)
     return new_state, atlas, diag
 

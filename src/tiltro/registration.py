@@ -185,7 +185,6 @@ def icp_point_to_point(
     if n == 0:
         raise NoCorrespondences("source cloud is empty")
     estimate = prior
-    point_w = weight if params.use_point_weights else np.ones(n)
     kk = min(params.k_nn, len(index))
     max_dist = params.max_correspondence_distance
     # The tree's bound is strict, so searching just past max_dist finds
@@ -195,7 +194,7 @@ def icp_point_to_point(
     bound = math.nextafter(max_dist, math.inf)
     # Per-pair source rows and weights, masked down on every iteration.
     all_rows = np.repeat(np.arange(n), kk)
-    all_pair_w = point_w[all_rows] / kk
+    all_pair_w = weight[all_rows] / kk
     for iterations in range(1, params.max_iterations + 1):
         moved = _apply_planar(estimate, source_xyz)
         dist, idx = index.query(moved, kk, bound)

@@ -291,7 +291,6 @@ def reference_icp(
     if n == 0:
         raise NoCorrespondences("source cloud is empty")
     estimate = prior
-    point_w = weight if params.use_point_weights else np.ones(n)
     kk = min(params.k_nn, len(index))
     iterations = 0
     final_cost = 0.0
@@ -308,7 +307,7 @@ def reference_icp(
             )
         rows = np.repeat(np.arange(n), kk)[valid.ravel()]
         ref_pts = index.points[idx.ravel()[valid.ravel()]]
-        pair_w = point_w[rows] / kk
+        pair_w = weight[rows] / kk
         update = _reference_solve_planar(moved[rows, :2], ref_pts[:, :2], pair_w)
         estimate = update.compose(estimate)
         aligned = update.transform_xy(moved[rows, :2])

@@ -299,9 +299,9 @@ def test_run_config_defaults_and_round_trip():
         "theta_tilt = 3.0\ngamma = 3.5\nr_submap = 20.0\ntau_tilt = 0.8\n"
         "k_nn = 4\nmax_iterations = 40\ntranslation_epsilon = 0.001\n"
         "rotation_epsilon = 0.0001\nmax_correspondence_distance = 5.0\n"
-        "use_point_weights = true\nbeta = 0.1\nstatic_window_s = 10.0\n"
+        "beta = 0.1\nstatic_window_s = 10.0\n"
     )
-    params = Params(k=6, gamma=2.0, use_point_weights=False, beta=0.05)
+    params = Params(k=6, gamma=2.0, beta=0.05)
     assert parse_run_config(format_run_config(params)) == params
     text = "# comment\n\n k = 12 \ntau_tilt = 0.5\n"
     got = parse_run_config(text)
@@ -314,7 +314,7 @@ def test_run_config_rejects_bad_input():
     for text, frag in [
         ("bogus = 1", "unknown key"),
         ("k = 5\nk = 6", "duplicate"),
-        ("use_point_weights = yes", "true or false"),
+        ("k = true", "cannot parse"),
         ("k = five", "cannot parse"),
         ("k 5", "key = value"),
         ("gamma = -1.0", "gamma"),
@@ -354,7 +354,6 @@ def _valid_params(draw):
         translation_epsilon=draw(_POSITIVE),
         rotation_epsilon=draw(_POSITIVE),
         max_correspondence_distance=draw(_POSITIVE),
-        use_point_weights=draw(st.booleans()),
         beta=draw(_NON_NEGATIVE),
         static_window_s=draw(_POSITIVE),
     )

@@ -346,7 +346,6 @@ def _icp_cases(draw):
         k_nn=draw(st.sampled_from([1, 2, 4])),
         max_correspondence_distance=max_dist,
         max_iterations=draw(st.integers(1, 6)),
-        use_point_weights=draw(st.booleans()),
     )
     return src, weight, build_nn_index(ref), prior, params
 
