@@ -314,7 +314,7 @@ def test_run_config_rejects_bad_input():
     for text, frag in [
         ("bogus = 1", "unknown key"),
         ("k = 5\nk = 6", "duplicate"),
-        ("k = true", "cannot parse"),
+        ("tau_tilt = true", "cannot parse"),
         ("k = five", "cannot parse"),
         ("k 5", "key = value"),
         ("gamma = -1.0", "gamma"),
