@@ -3,6 +3,8 @@
 The three commands chain into a reproducible experiment: `simulate` renders
 a scenario into a dataset directory, `run` produces an odometry trajectory
 from it, `eval` scores that trajectory against the recorded ground truth.
+`simulate` writes each scan as it is rendered and `run` decodes one scan at a
+time, so neither holds all of a recording's scans in memory.
 Results go only to the requested output files; human-readable progress and
 errors go to stderr.  Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from .attitude import ImuBias, estimate_bias, run_filter
@@ -94,16 +97,17 @@ def _build_parser() -> _Parser:
 def _cmd_simulate(args) -> int:
     text = Path(args.scenario).read_text(encoding="utf-8")
     scenario = Scenario.from_json(text)
-    result = simulate(scenario, args.duration)
-    write_dataset(
-        args.out,
-        result.scans,
-        result.imu,
-        result.gt_t,
-        result.gt_pos,
-        result.gt_quats,
-        scenario_text=scenario.to_json(),
-    )
+    result = simulate(scenario, args.duration, stream=True)
+    with closing(result.scans):
+        write_dataset(
+            args.out,
+            result.scans,
+            result.imu,
+            result.gt_t,
+            result.gt_pos,
+            result.gt_quats,
+            scenario_text=scenario.to_json(),
+        )
     print(
         f"simulate: wrote {len(result.scans)} scans and "
         f"{len(result.imu)} IMU samples to {args.out}",

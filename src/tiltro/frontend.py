@@ -141,7 +141,7 @@ def k_strongest(
     rows, bins = np.divmod(flat, n_r)
     gated = in_range[bins]
     rows, bins = rows[gated], bins[gated]
-    vals = scan.intensity.ravel()[flat[gated]]
+    vals = scan.intensity[rows, bins]
     # flatnonzero is row-major and lexsort is stable, so within a row equal
     # intensities stay in ascending bin order.  Cast before negating: -uint8
     # wraps.

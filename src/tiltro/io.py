@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -88,9 +89,10 @@ def read_polar_scan(path) -> PolarScan:
             f"{path}: {len(data) - expected} trailing bytes at byte {expected}"
         )
     rec = np.frombuffer(data, dtype=rec_dtype, count=n_a, offset=_SCAN_HEADER.size)
-    return PolarScan(
-        rec["az"].copy(), rec["t"].copy(), rec["intensity"].copy(), dr
-    )
+    # The grid stays a read-only view of the file's bytes: a copy would
+    # double the memory traffic of a decode, and a dataset decodes every
+    # scan twice (validation, then use).
+    return PolarScan(rec["az"].copy(), rec["t"].copy(), rec["intensity"], dr)
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +352,43 @@ def format_run_config(params: Params) -> str:
 # Dataset directory layout.
 
 
+class ScanFiles(Sequence):
+    """A dataset's scans, decoded from their files one access at a time.
+
+    Supports ``len()``, iteration and integer indexing.  Every access reads
+    the file again and checks it as ``load_dataset`` did, so a file damaged
+    since raises the error ``load_dataset`` would have raised rather than
+    feeding odometry.
+    """
+
+    def __init__(self, paths: list[Path], t_lo: int, t_hi: int):
+        self._paths = paths
+        self._t_lo = t_lo
+        self._t_hi = t_hi
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+    def __getitem__(self, index: int) -> PolarScan:
+        return _read_dataset_scan(self._paths[index], self._t_lo, self._t_hi)
+
+
+def _read_dataset_scan(path: Path, t_lo: int, t_hi: int) -> PolarScan:
+    scan = read_polar_scan(path)
+    if scan.azimuth_timestamps[0] < t_lo or scan.azimuth_timestamps[-1] > t_hi:
+        raise FormatError(
+            f"{path.name}: scan timestamps leave the IMU span [{t_lo}, {t_hi}]"
+        )
+    return scan
+
+
 @dataclass
 class Dataset:
-    """In-memory dataset: scans in index order plus the IMU stream."""
+    """A dataset directory opened for reading: the scans in index order,
+    decoded one at a time from their files, plus the IMU stream."""
 
     path: Path
-    scans: list[PolarScan]
+    scans: ScanFiles
     imu: ImuStream
     ground_truth_path: Path | None
     scenario_text: str | None
@@ -364,27 +397,37 @@ class Dataset:
 def write_dataset(
     out_dir, scans, imu, gt_t, gt_pos, gt_quats, scenario_text: str | None = None
 ) -> Path:
-    """Lay out a dataset directory; replaces any previously written scans."""
+    """Lay out a dataset directory from any iterable of scans, writing each
+    scan as it arrives; replaces whatever dataset was there.
+
+    The old files all go before anything is written, and ``imu.csv`` is
+    written last, so a write cut short leaves a directory that
+    ``load_dataset`` rejects rather than new scans beside an old IMU stream.
+    """
     out_dir = Path(out_dir)
     scans_dir = out_dir / "scans"
     scans_dir.mkdir(parents=True, exist_ok=True)
     for stale in scans_dir.glob("*.frad"):
         stale.unlink()
+    for name in ("imu.csv", "ground_truth.csv", "scenario.echo"):
+        (out_dir / name).unlink(missing_ok=True)
     for i, scan in enumerate(scans):
         write_polar_scan(scan, scans_dir / f"{i:06d}.frad")
-    write_imu_csv(out_dir / "imu.csv", imu)
     write_ground_truth_csv(out_dir / "ground_truth.csv", gt_t, gt_pos, gt_quats)
     if scenario_text is not None:
         (out_dir / "scenario.echo").write_text(scenario_text, encoding="utf-8")
+    write_imu_csv(out_dir / "imu.csv", imu)
     return out_dir
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset directory back, validating the layout.
+    """Open a dataset directory, validating the layout and every scan file.
 
-    Scan files must be contiguous from 000000 and every azimuth timestamp
-    must fall inside the IMU stream's span (the attitude filter cannot
-    cover scans it has no inertial data for).
+    Scan files must be contiguous from 000000, and each must decode with
+    every azimuth timestamp inside the IMU stream's span (the attitude
+    filter cannot cover scans it has no inertial data for).  All of this is
+    checked here, before any scan is used; the returned ``scans`` keep only
+    the paths and decode a file when it is accessed.
     """
     path = Path(path)
     scans_dir = path / "scans"
@@ -405,21 +448,14 @@ def load_dataset(path) -> Dataset:
     imu = read_imu_csv(imu_path)
     if len(imu) == 0:
         raise FormatError(f"{imu_path}: IMU stream is empty")
-    t_lo, t_hi = imu.t[0], imu.t[-1]
-    scans = []
+    t_lo, t_hi = int(imu.t[0]), int(imu.t[-1])
     for f in scan_files:
-        scan = read_polar_scan(f)
-        if scan.azimuth_timestamps[0] < t_lo or scan.azimuth_timestamps[-1] > t_hi:
-            raise FormatError(
-                f"{f.name}: scan timestamps leave the IMU span "
-                f"[{t_lo}, {t_hi}]"
-            )
-        scans.append(scan)
+        _read_dataset_scan(f, t_lo, t_hi)
     gt_path = path / "ground_truth.csv"
     echo_path = path / "scenario.echo"
     return Dataset(
         path=path,
-        scans=scans,
+        scans=ScanFiles(scan_files, t_lo, t_hi),
         imu=imu,
         ground_truth_path=gt_path if gt_path.is_file() else None,
         scenario_text=(

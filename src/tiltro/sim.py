@@ -21,9 +21,12 @@ import json
 import math
 import numbers
 import os
+from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
-from itertools import repeat
+from itertools import islice
 
 import numpy as np
 
@@ -626,12 +629,13 @@ def synthesize_imu(scenario: Scenario, gt: GroundTruth) -> ImuStream:
 class SimResult:
     """Everything one scenario run produces.
 
-    ``gt_t/gt_pos/gt_quats`` are the dense truth resampled at the IMU
-    timestamps (the table that gets persisted); ``truth`` is the full
+    ``scans`` is a list, or a one-pass :class:`ScanStream` when the run was
+    streamed.  ``gt_t/gt_pos/gt_quats`` are the dense truth resampled at the
+    IMU timestamps (the table that gets persisted); ``truth`` is the full
     1 kHz history for in-process consumers.
     """
 
-    scans: list[PolarScan]
+    scans: list[PolarScan] | ScanStream
     imu: ImuStream
     gt_t: np.ndarray
     gt_pos: np.ndarray
@@ -647,28 +651,86 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def simulate(scenario: Scenario, duration: float | None = None) -> SimResult:
+def _render_scans(scenario: Scenario, gt: GroundTruth, starts) -> Iterator[PolarScan]:
+    """Render the scans that start at ``starts``, yielding them in order.
+
+    Each scan draws only from its own RNG streams, and numpy releases the
+    GIL in the noise fill and the large ufuncs, so scans render in parallel
+    and come out identical for any worker count.  At most 2 x workers
+    renders are submitted ahead of the consumer, so a consumer that writes
+    each scan away holds a fixed number of grids.  ``render_scan`` is looked
+    up at every submit.  Closing the generator, or a render that raises,
+    cancels the renders that have not started and joins the workers.
+    """
+    workers = _usable_cpus()
+    pool = ThreadPoolExecutor(max_workers=workers)
+    todo = iter(starts)
+    try:
+        pending = deque(
+            pool.submit(render_scan, scenario, gt, t0)
+            for t0 in islice(todo, 2 * workers)
+        )
+        while pending:
+            scan = pending.popleft().result()
+            t0 = next(todo, None)
+            if t0 is not None:
+                pending.append(pool.submit(render_scan, scenario, gt, t0))
+            yield scan
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+class ScanStream:
+    """The scans of ``simulate(..., stream=True)``: an iterator that renders
+    them as they are consumed, in order and once; ``len()`` is the number of
+    scans it yields in all.  ``close()`` stops the renders in flight."""
+
+    def __init__(self, scenario: Scenario, gt: GroundTruth, starts: range):
+        self._count = len(starts)
+        self._scans = _render_scans(scenario, gt, starts)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> "ScanStream":
+        return self
+
+    def __next__(self) -> PolarScan:
+        return next(self._scans)
+
+    def close(self) -> None:
+        self._scans.close()
+
+
+def simulate(
+    scenario: Scenario, duration: float | None = None, *, stream: bool = False
+) -> SimResult:
     """Run a scenario end to end: truth, IMU stream, and all radar scans.
 
     Scans start at the truth origin and repeat every rotation period for as
     long as a full rotation fits inside the IMU stream's span, so every
-    azimuth timestamp is covered by inertial data.
+    azimuth timestamp is covered by inertial data.  The scans render in
+    parallel; by default all of them are returned in a list.  With
+    ``stream=True`` they are rendered only as ``result.scans`` is iterated,
+    with at most 2 x CPUs in flight, so writing them away one at a time
+    keeps memory flat however long the scenario is.
     """
     gt = generate_ground_truth(scenario, duration)
     imu = synthesize_imu(scenario, gt)
     period = scenario.radar.period_ns
     starts = range(gt.t_start, int(imu.t[-1]) - period + 1, period)
-    # Each scan draws only from its own RNG streams, and numpy releases the
-    # GIL in the noise fill and the large ufuncs, so scans render in parallel
-    # and come out identical for any worker count.  The scans are copied on
-    # this thread: glibc gives each worker thread its own heap, and scans
-    # left there would keep the workers' freed scratch from being reused.
-    with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
-        scans = [
-            PolarScan(s.azimuths.copy(), s.azimuth_timestamps.copy(),
-                      s.intensity.copy(), s.range_resolution)
-            for s in pool.map(render_scan, repeat(scenario), repeat(gt), starts)
-        ]
+    if stream:
+        scans = ScanStream(scenario, gt, starts)
+    else:
+        # The kept scans are copied on this thread: glibc gives each worker
+        # thread its own heap, and scans left there would keep the workers'
+        # freed scratch from being reused.
+        with closing(_render_scans(scenario, gt, starts)) as rendered:
+            scans = [
+                PolarScan(s.azimuths.copy(), s.azimuth_timestamps.copy(),
+                          s.intensity.copy(), s.range_resolution)
+                for s in rendered
+            ]
     gt_pos, gt_quats = gt.sample(imu.t)
     return SimResult(scans, imu, imu.t, gt_pos, gt_quats, gt)
 

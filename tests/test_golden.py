@@ -4,11 +4,13 @@ chain.
 Byte identity is the project's equivalence check for refactors and speed-ups.
 These tests simulate ``tilt_step_course(1)``, compare the SHA-256 of the
 scan files, ``imu.csv``, ``ground_truth.csv`` and scenario echo that
-``write_dataset`` writes, then run estimate_bias -> run_filter ->
-run_odometry under the defaults and under each ablation switch and compare
-the digests of the written trajectory and diagnostics CSVs.  One more chain runs the whole of
-``quarry_course(1)`` under the defaults, where the tilt gate acts with tilt
-search on.  A change that alters the bytes on
+``write_dataset`` writes, in memory and streamed by ``tiltro simulate``,
+then run estimate_bias -> run_filter -> run_odometry under the defaults and
+under each ablation switch and compare the digests of the written
+trajectory and diagnostics CSVs.  The defaults also run once on the scans
+that ``load_dataset`` decodes one at a time from the streamed dataset.  One
+more chain runs the whole of ``quarry_course(1)`` under the defaults, where
+the tilt gate acts with tilt search on.  A change that alters the bytes on
 purpose updates the digests and says so.
 
 The float results depend on the BLAS kernels and on numpy's SIMD dispatch,
@@ -24,7 +26,9 @@ import numpy as np
 import pytest
 
 from tiltro.attitude import estimate_bias, run_filter
+from tiltro.cli import main
 from tiltro.io import (
+    load_dataset,
     states_to_arrays,
     write_dataset,
     write_diagnostics_csv,
@@ -128,9 +132,9 @@ def _sha256(*paths: Path) -> str:
     return h.hexdigest()
 
 
-def _run_digests(sim, track, out: Path, **switches) -> tuple[str, str]:
+def _run_digests(scans, track, out: Path, **switches) -> tuple[str, str]:
     """SHA-256 of the trajectory and diagnostics CSVs of one run."""
-    states, diags = run_odometry(sim.scans, track, **switches)
+    states, diags = run_odometry(scans, track, **switches)
     write_trajectory_csv(out / "traj.csv", *states_to_arrays(states))
     write_diagnostics_csv(out / "diag.csv", diags)
     return _sha256(out / "traj.csv"), _sha256(out / "diag.csv")
@@ -140,7 +144,7 @@ def _run_digests(sim, track, out: Path, **switches) -> tuple[str, str]:
 def test_golden_digests(tilt_step, tmp_path, mode):
     switches, traj_sha, diag_sha = GOLDEN[mode]
     _, sim, track = tilt_step
-    got = _run_digests(sim, track, tmp_path, **switches)
+    got = _run_digests(sim.scans, track, tmp_path, **switches)
     assert got == (traj_sha, diag_sha), (
         f"{mode}: trajectory or diagnostics bytes changed. Digests taken on "
         f"{REFERENCE_HOST}; this host: {_host()}"
@@ -149,22 +153,52 @@ def test_golden_digests(tilt_step, tmp_path, mode):
 
 def test_golden_digests_where_the_gate_acts_with_search_on(tmp_path):
     _, sim, track = _simulated(quarry_course(1))
-    got = _run_digests(sim, track, tmp_path)
+    got = _run_digests(sim.scans, track, tmp_path)
     assert got == GOLDEN_QUARRY, (
         f"quarry_course(1): trajectory or diagnostics bytes changed. Digests "
         f"taken on {REFERENCE_HOST}; this host: {_host()}"
     )
 
 
+def _dataset_digests(root: Path) -> dict[str, str]:
+    return {
+        pattern: _sha256(*sorted(root.glob(pattern))) for pattern in GOLDEN_DATASET
+    }
+
+
+@pytest.fixture(scope="module")
+def streamed_dataset(tmp_path_factory):
+    """The dataset ``tiltro simulate`` writes for the course, scan by scan."""
+    root = tmp_path_factory.mktemp("cli")
+    (root / "scenario.json").write_text(tilt_step_course(1).to_json(), encoding="utf-8")
+    argv = ["simulate", "--scenario", str(root / "scenario.json"), "--out", str(root / "ds")]
+    assert main(argv) == 0
+    return root / "ds"
+
+
 def test_simulate_digests(tilt_step, tmp_path):
     scenario, sim, _ = tilt_step
     write_dataset(tmp_path, sim.scans, sim.imu, sim.gt_t, sim.gt_pos,
                   sim.gt_quats, scenario_text=scenario.to_json())
-    got = {
-        pattern: _sha256(*sorted(tmp_path.glob(pattern)))
-        for pattern in GOLDEN_DATASET
-    }
-    assert got == GOLDEN_DATASET, (
+    assert _dataset_digests(tmp_path) == GOLDEN_DATASET, (
         f"simulate's dataset bytes changed. Digests taken on "
         f"{REFERENCE_HOST}; this host: {_host()}"
+    )
+
+
+def test_cli_simulate_digests(streamed_dataset):
+    assert _dataset_digests(streamed_dataset) == GOLDEN_DATASET, (
+        f"`tiltro simulate`'s dataset bytes changed. Digests taken on "
+        f"{REFERENCE_HOST}; this host: {_host()}"
+    )
+
+
+def test_golden_digests_from_the_lazily_read_dataset(streamed_dataset, tmp_path):
+    switches, traj_sha, diag_sha = GOLDEN["defaults"]
+    ds = load_dataset(streamed_dataset)
+    track = run_filter(ds.imu, estimate_bias(ds.imu))
+    got = _run_digests(ds.scans, track, tmp_path, **switches)
+    assert got == (traj_sha, diag_sha), (
+        f"defaults over load_dataset's scans: trajectory or diagnostics bytes "
+        f"changed. Digests taken on {REFERENCE_HOST}; this host: {_host()}"
     )

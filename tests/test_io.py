@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,7 +21,7 @@ from tiltro.errors import (
     UnsupportedVersion,
 )
 from tiltro.evaluation import RteReport
-from tiltro.frontend import PolarScan
+from tiltro.frontend import MAX_SCAN_SPAN_NS, PolarScan
 from tiltro.io import (
     GROUND_TRUTH_CSV_HEADER,
     IMU_CSV_HEADER,
@@ -496,3 +496,141 @@ def test_dataset_scans_must_sit_inside_imu_span(tmp_path):
     )
     with pytest.raises(FormatError, match="IMU span"):
         load_dataset(root)
+
+
+def _assert_same_scan(got, want):
+    assert got.azimuths.tobytes() == want.azimuths.tobytes()
+    assert got.azimuth_timestamps.tobytes() == want.azimuth_timestamps.tobytes()
+    assert got.intensity.tobytes() == want.intensity.tobytes()
+    assert got.range_resolution == want.range_resolution
+
+
+def _written(tmp_path, count=4):
+    scans = [_scan(seed=i, t0=1_000_000_000 + i * 250_000_000) for i in range(count)]
+    root = write_dataset(
+        tmp_path / "ds", scans, _imu(n=400), np.array([0], dtype=np.int64),
+        np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0, 0.0]]), scenario_text="{}",
+    )
+    return root, scans
+
+
+def test_dataset_scans_decode_on_access(tmp_path):
+    root, scans = _written(tmp_path)
+    ds = load_dataset(root)
+    assert len(ds.scans) == len(scans)
+    for got, want in zip(ds.scans, scans, strict=True):
+        _assert_same_scan(got, want)
+    _assert_same_scan(ds.scans[2], scans[2])
+    _assert_same_scan(ds.scans[-1], scans[-1])
+    with pytest.raises(IndexError):
+        ds.scans[len(scans)]
+    # Every access decodes the file again: nothing is cached.
+    assert ds.scans[0] is not ds.scans[0]
+
+
+def test_dataset_scan_corrupted_after_load_raises_on_access(tmp_path):
+    root, scans = _written(tmp_path)
+    ds = load_dataset(root)
+    victim = root / "scans" / "000002.frad"
+    victim.write_bytes(victim.read_bytes()[:-1])
+    _assert_same_scan(ds.scans[1], scans[1])
+    with pytest.raises(FormatError, match="000002.frad"):
+        ds.scans[2]
+    with pytest.raises(FormatError, match="000002.frad"):
+        list(ds.scans)
+    # A scan moved outside the IMU span is caught on access too.
+    write_polar_scan(_scan(t0=9_000_000_000), victim)
+    with pytest.raises(FormatError, match="000002.frad: scan timestamps leave the IMU span"):
+        ds.scans[2]
+
+
+def test_interrupted_dataset_write_is_rejected_by_load(tmp_path):
+    root, scans = _written(tmp_path)
+    assert (root / "scenario.echo").is_file()
+
+    def cut_short():
+        yield from scans[:2]
+        raise RuntimeError("renderer failed")
+
+    with pytest.raises(RuntimeError, match="renderer failed"):
+        write_dataset(root, cut_short(), _imu(n=400), np.array([0], dtype=np.int64),
+                      np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0, 0.0]]))
+    assert sorted(p.name for p in root.rglob("*") if p.is_file()) == [
+        "000000.frad", "000001.frad"
+    ]
+    with pytest.raises(FormatError, match="missing imu.csv"):
+        load_dataset(root)
+
+
+@st.composite
+def _polar_scans(draw):
+    """Any valid scan: 1-12 azimuths strictly increasing in [0, 2pi),
+    non-decreasing timestamps within one rotation, 1-16 bins of any uint8."""
+    n_az = draw(st.integers(1, 12))
+    n_bins = draw(st.integers(1, 16))
+    az = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
+            min_size=n_az, max_size=n_az, unique=True,
+        )
+    )
+    steps = draw(
+        arrays(np.int64, n_az - 1, elements=st.integers(0, MAX_SCAN_SPAN_NS // n_az))
+    )
+    t0 = draw(st.integers(-(2**62), 2**62) | st.just(_EPOCH_NS))
+    t = t0 + np.concatenate([[0], np.cumsum(steps)]).astype(np.int64)
+    grid = draw(arrays(np.uint8, (n_az, n_bins)))
+    dr = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    return PolarScan(sorted(az), t, grid, dr)
+
+
+@settings(max_examples=60, deadline=2000)
+@given(_polar_scans())
+def test_scan_round_trip_is_byte_identical_for_any_valid_scan(tmp_path_factory, scan):
+    d = tmp_path_factory.mktemp("frad")
+    write_polar_scan(scan, d / "a.frad")
+    back = read_polar_scan(d / "a.frad")
+    _assert_same_scan(back, scan)
+    write_polar_scan(back, d / "b.frad")
+    assert (d / "a.frad").read_bytes() == (d / "b.frad").read_bytes()
+
+
+@settings(max_examples=30, deadline=2000)
+@given(st.lists(_polar_scans(), min_size=1, max_size=3))
+def test_dataset_scans_round_trip_byte_identically(tmp_path_factory, scans):
+    t_lo = min(int(s.azimuth_timestamps[0]) for s in scans)
+    t_hi = max(int(s.azimuth_timestamps[-1]) for s in scans)
+    imu = ImuStream(np.array([t_lo, t_hi + 1], dtype=np.int64), np.zeros((2, 3)),
+                    np.zeros((2, 3)))
+    root = write_dataset(tmp_path_factory.mktemp("ds"), scans, imu,
+                         np.array([t_lo], dtype=np.int64), np.zeros((1, 3)),
+                         np.array([[1.0, 0.0, 0.0, 0.0]]))
+    ds = load_dataset(root)
+    assert len(ds.scans) == len(scans)
+    for i, back in enumerate(ds.scans):
+        write_polar_scan(back, root / "again.frad")
+        written = root / "scans" / f"{i:06d}.frad"
+        assert (root / "again.frad").read_bytes() == written.read_bytes()
+
+
+@st.composite
+def _ground_truth_tables(draw):
+    n = draw(st.integers(0, 12))
+    steps = draw(arrays(np.int64, n, elements=st.integers(1, 10**9)))
+    t0 = draw(st.integers(-(2**61), 2**61) | st.just(_EPOCH_NS))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    pos = draw(arrays(np.float64, (n, 3), elements=finite))
+    quats = draw(arrays(np.float64, (n, 4), elements=finite))
+    return t0 + np.cumsum(steps), pos, quats
+
+
+@settings(max_examples=100, deadline=2000)
+@given(_ground_truth_tables())
+def test_ground_truth_csv_round_trip_is_byte_exact(tmp_path_factory, table):
+    d = tmp_path_factory.mktemp("gt")
+    write_ground_truth_csv(d / "a.csv", *table)
+    back = read_ground_truth_csv(d / "a.csv")
+    write_ground_truth_csv(d / "b.csv", *back)
+    assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()
+    for got, want in zip(back, table):
+        assert got.tobytes() == want.tobytes()

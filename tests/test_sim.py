@@ -3,6 +3,8 @@
 import json
 import math
 import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -269,6 +271,89 @@ def _pole_window_scenario(segment, heading=0.0, tilt=()):
         radar=_quiet_radar(),
         start_heading=heading,
     )
+
+
+def _streamed_course():
+    """Six seconds parked before a pole: 23 small scans, cheap to render."""
+    return Scenario(
+        seed=17,
+        segments=(PathSegment("dwell", duration=6.0),),
+        poles=(Pole(12.0, 3.0, 0.0, 4.0, 220.0),),
+        radar=RadarModel(azimuth_count=16, range_bin_count=64),
+    )
+
+
+def _count_renders(monkeypatch, fail_from=None):
+    """Patch ``tiltro.sim.render_scan`` to record each start time it renders
+    and to raise for the scans that start at or after ``fail_from``."""
+    calls = []
+    real = tiltro.sim.render_scan
+
+    def counting(scenario, gt, t_start):
+        calls.append(t_start)
+        if fail_from is not None and t_start >= fail_from:
+            raise RuntimeError(f"render failed at {t_start}")
+        return real(scenario, gt, t_start)
+
+    monkeypatch.setattr(tiltro.sim, "render_scan", counting)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_streamed_scans_match_the_list_once(workers, monkeypatch):
+    monkeypatch.setattr(tiltro.sim, "_usable_cpus", lambda: workers)
+    sc = _streamed_course()
+    listed = simulate(sc)
+    streamed = simulate(sc, stream=True)
+    assert len(streamed.scans) == len(listed.scans) == 23
+    got = list(streamed.scans)
+    assert [s.intensity.tobytes() for s in got] == [
+        s.intensity.tobytes() for s in listed.scans
+    ]
+    assert [s.azimuth_timestamps.tobytes() for s in got] == [
+        s.azimuth_timestamps.tobytes() for s in listed.scans
+    ]
+    assert list(streamed.scans) == []  # one pass
+    assert streamed.imu.t.tobytes() == listed.imu.t.tobytes()
+
+
+def test_stream_renders_at_most_two_per_worker_ahead(monkeypatch):
+    workers = 2
+    monkeypatch.setattr(tiltro.sim, "_usable_cpus", lambda: workers)
+    calls = _count_renders(monkeypatch)
+    result = simulate(_streamed_course(), stream=True)
+    assert calls == []  # nothing renders before the first scan is asked for
+    next(result.scans)
+    time.sleep(0.2)  # room for the workers to run ahead if they could
+    assert len(calls) <= 2 * workers + 1
+    rest = list(result.scans)
+    assert len(rest) + 1 == len(result.scans) == len(calls)
+
+
+def test_closing_a_stream_early_stops_its_workers(monkeypatch):
+    monkeypatch.setattr(tiltro.sim, "_usable_cpus", lambda: 2)
+    calls = _count_renders(monkeypatch)
+    before = threading.active_count()
+    result = simulate(_streamed_course(), stream=True)
+    next(result.scans)
+    assert threading.active_count() > before
+    result.scans.close()
+    assert threading.active_count() == before
+    assert len(calls) < len(result.scans)
+    assert list(result.scans) == []
+
+
+def test_a_failed_render_ends_the_stream_and_its_workers(monkeypatch):
+    monkeypatch.setattr(tiltro.sim, "_usable_cpus", lambda: 2)
+    sc = _streamed_course()
+    third = generate_ground_truth(sc).t_start + 2 * sc.radar.period_ns
+    calls = _count_renders(monkeypatch, fail_from=third)
+    before = threading.active_count()
+    result = simulate(sc, stream=True)
+    with pytest.raises(RuntimeError, match=f"render failed at {third}"):
+        list(result.scans)
+    assert threading.active_count() == before
+    assert len(calls) < len(result.scans)
 
 
 @pytest.mark.parametrize(
