@@ -13,6 +13,11 @@ more chain runs the whole of ``quarry_course(1)`` under the defaults, where
 the tilt gate acts with tilt search on.  A change that alters the bytes on
 purpose updates the digests and says so.
 
+The gate changes nothing before the first scan it acts on, so the
+trajectory rows before it and the point counts of the gated scans are
+pinned on their own: a change to the gate alone moves the whole-file
+digests but not these.
+
 The float results depend on the BLAS kernels and on numpy's SIMD dispatch,
 so a failure names both; a mismatch on another kind of CPU reads as a host
 difference, not as a regression.
@@ -20,6 +25,7 @@ difference, not as a regression.
 
 import ctypes
 import hashlib
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +82,22 @@ GOLDEN_QUARRY = (
     "d1ab27879332c19d54856ebce2e127af8c268f6986a7edadcab0c1284986fd65",
 )
 
+#: Trajectory rows before the first gated scan: (mode or "quarry", number
+#: of rows, SHA-256 of the header and those rows).
+GOLDEN_PREFIX = (
+    ("no-tilt-search", 101, "8963ee949587d05fa323012c0aaf9b4b07e7412d9681fe470126528561ebf59b"),
+    ("quarry", 267, "2ef8b57665fe67105cabb158bdc8d54e2ed83d90a98bcdd858987e52948810f4"),
+)
+
+#: (mode or "quarry", scan) -> (raw, filtered, downsampled) points of the
+#: scans the gate acts on.
+GOLDEN_GATED_COUNTS = {
+    ("no-tilt-search", 101): (216, 163, 59),
+    ("no-tilt-search", 102): (167, 140, 54),
+    ("quarry", 267): (121, 78, 33),
+    ("quarry", 333): (118, 99, 46),
+}
+
 #: The BLAS core and SIMD targets of the machine the digests were taken on.
 REFERENCE_HOST = (
     "OpenBLAS core SkylakeX, numpy 2.4.6, "
@@ -125,44 +147,90 @@ def tilt_step():
     return _simulated(tilt_step_course(1))
 
 
-def _sha256(*paths: Path) -> str:
+def _sha256(*blobs: bytes) -> str:
     h = hashlib.sha256()
-    for path in paths:
-        h.update(path.read_bytes())
+    for blob in blobs:
+        h.update(blob)
     return h.hexdigest()
 
 
-def _run_digests(scans, track, out: Path, **switches) -> tuple[str, str]:
-    """SHA-256 of the trajectory and diagnostics CSVs of one run."""
+@dataclass(frozen=True)
+class Run:
+    """The trajectory and diagnostics CSV bytes of one run, and its
+    diagnostics records."""
+
+    traj: bytes
+    diag: bytes
+    diags: list
+
+    def digests(self) -> tuple[str, str]:
+        return _sha256(self.traj), _sha256(self.diag)
+
+
+def _run(scans, track, out: Path, **switches) -> Run:
     states, diags = run_odometry(scans, track, **switches)
     write_trajectory_csv(out / "traj.csv", *states_to_arrays(states))
     write_diagnostics_csv(out / "diag.csv", diags)
-    return _sha256(out / "traj.csv"), _sha256(out / "diag.csv")
+    return Run((out / "traj.csv").read_bytes(), (out / "diag.csv").read_bytes(), diags)
+
+
+@pytest.fixture(scope="module")
+def golden_run(tilt_step, tmp_path_factory):
+    """mode -> the tilt-step chain under that mode's switches, each run at
+    most once; "quarry" -> the whole ``quarry_course(1)`` chain."""
+    cache = {}
+
+    def run(mode: str) -> Run:
+        if mode not in cache:
+            out = tmp_path_factory.mktemp(mode)
+            if mode == "quarry":
+                _, sim, track = _simulated(quarry_course(1))
+                cache[mode] = _run(sim.scans, track, out)
+            else:
+                _, sim, track = tilt_step
+                cache[mode] = _run(sim.scans, track, out, **GOLDEN[mode][0])
+        return cache[mode]
+
+    return run
 
 
 @pytest.mark.parametrize("mode", list(GOLDEN))
-def test_golden_digests(tilt_step, tmp_path, mode):
-    switches, traj_sha, diag_sha = GOLDEN[mode]
-    _, sim, track = tilt_step
-    got = _run_digests(sim.scans, track, tmp_path, **switches)
-    assert got == (traj_sha, diag_sha), (
+def test_golden_digests(golden_run, mode):
+    _, traj_sha, diag_sha = GOLDEN[mode]
+    assert golden_run(mode).digests() == (traj_sha, diag_sha), (
         f"{mode}: trajectory or diagnostics bytes changed. Digests taken on "
         f"{REFERENCE_HOST}; this host: {_host()}"
     )
 
 
-def test_golden_digests_where_the_gate_acts_with_search_on(tmp_path):
-    _, sim, track = _simulated(quarry_course(1))
-    got = _run_digests(sim.scans, track, tmp_path)
-    assert got == GOLDEN_QUARRY, (
+def test_golden_digests_where_the_gate_acts_with_search_on(golden_run):
+    assert golden_run("quarry").digests() == GOLDEN_QUARRY, (
         f"quarry_course(1): trajectory or diagnostics bytes changed. Digests "
         f"taken on {REFERENCE_HOST}; this host: {_host()}"
     )
 
 
+@pytest.mark.parametrize("mode, rows, sha", GOLDEN_PREFIX, ids=[m for m, _, _ in GOLDEN_PREFIX])
+def test_trajectory_before_the_first_gated_scan(golden_run, mode, rows, sha):
+    lines = golden_run(mode).traj.splitlines(keepends=True)
+    assert _sha256(*lines[: 1 + rows]) == sha, (
+        f"{mode}: trajectory rows 0-{rows - 1} changed. Digests taken on "
+        f"{REFERENCE_HOST}; this host: {_host()}"
+    )
+
+
+def test_point_counts_of_the_gated_scans(golden_run):
+    got = {}
+    for mode, scan in GOLDEN_GATED_COUNTS:
+        d = golden_run(mode).diags[scan]
+        got[mode, scan] = (d.raw_points, d.filtered_points, d.downsampled_points)
+    assert got == GOLDEN_GATED_COUNTS
+
+
 def _dataset_digests(root: Path) -> dict[str, str]:
     return {
-        pattern: _sha256(*sorted(root.glob(pattern))) for pattern in GOLDEN_DATASET
+        pattern: _sha256(*(p.read_bytes() for p in sorted(root.glob(pattern))))
+        for pattern in GOLDEN_DATASET
     }
 
 
@@ -197,7 +265,7 @@ def test_golden_digests_from_the_lazily_read_dataset(streamed_dataset, tmp_path)
     switches, traj_sha, diag_sha = GOLDEN["defaults"]
     ds = load_dataset(streamed_dataset)
     track = run_filter(ds.imu, estimate_bias(ds.imu))
-    got = _run_digests(ds.scans, track, tmp_path, **switches)
+    got = _run(ds.scans, track, tmp_path, **switches).digests()
     assert got == (traj_sha, diag_sha), (
         f"defaults over load_dataset's scans: trajectory or diagnostics bytes "
         f"changed. Digests taken on {REFERENCE_HOST}; this host: {_host()}"
