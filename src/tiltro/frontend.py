@@ -86,27 +86,23 @@ class PolarScan:
 
 @dataclass
 class PointCloud:
-    """Columnar point cloud: positions, capture times and weights.
+    """Columnar point cloud: positions and capture times.
 
-    ``t`` is each point's capture time (ns), which deskew reads; ``weight``
-    is 1 from extraction and set by the tilt gate for ICP.
+    ``t`` is each point's capture time (ns), which deskew reads.
     """
 
     xyz: np.ndarray
     t: np.ndarray
-    weight: np.ndarray
 
     def __post_init__(self):
         self.xyz = np.asarray(self.xyz, dtype=float).reshape(-1, 3)
-        n = self.xyz.shape[0]
-        self.t = np.asarray(self.t, dtype=np.int64).reshape(n)
-        self.weight = np.asarray(self.weight, dtype=float).reshape(n)
+        self.t = np.asarray(self.t, dtype=np.int64).reshape(self.xyz.shape[0])
 
     def __len__(self) -> int:
         return self.xyz.shape[0]
 
     def subset(self, mask: np.ndarray) -> "PointCloud":
-        return PointCloud(self.xyz[mask], self.t[mask], self.weight[mask])
+        return PointCloud(self.xyz[mask], self.t[mask])
 
 
 def k_strongest(
@@ -155,7 +151,7 @@ def k_strongest(
     xyz = np.column_stack(
         [ranges * np.cos(az), ranges * np.sin(az), np.zeros(rows.size)]
     )
-    return PointCloud(xyz, scan.azimuth_timestamps[rows], np.ones(rows.size))
+    return PointCloud(xyz, scan.azimuth_timestamps[rows])
 
 
 def deskew(cloud: PointCloud, track: AttitudeTrack) -> PointCloud:

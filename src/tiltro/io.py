@@ -92,7 +92,10 @@ def read_polar_scan(path) -> PolarScan:
     # The grid stays a read-only view of the file's bytes: a copy would
     # double the memory traffic of a decode, and a dataset decodes every
     # scan twice (validation, then use).
-    return PolarScan(rec["az"].copy(), rec["t"].copy(), rec["intensity"], dr)
+    try:
+        return PolarScan(rec["az"].copy(), rec["t"].copy(), rec["intensity"], dr)
+    except ValueError as err:
+        raise FormatError(f"{path}: {err}") from err
 
 
 # ---------------------------------------------------------------------------

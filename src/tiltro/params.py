@@ -24,8 +24,8 @@ class Params:
     d_voxel: voxel edge for scan and submap compaction.
     theta_tilt: tilt bound shared by the submap search (per-component
     roll/pitch) and the tilt gate (activation threshold).
-    gamma, tau_tilt: Cauchy scale of the gate's vertical displacement and
-    its weight cutoff in (0, 1].
+    d_max: the tilt gate's hard threshold on a point's tilt-induced
+    vertical displacement; 0 keeps only points on the tilt axis.
     r_submap: submap search and merge radius.
     k_nn, max_iterations, translation_epsilon, rotation_epsilon,
     max_correspondence_distance: planar ICP.
@@ -39,9 +39,8 @@ class Params:
     tau_raw: float = 60.0
     d_voxel: float = 1.0
     theta_tilt: float = 3.0
-    gamma: float = 3.5
+    d_max: float = 1.75
     r_submap: float = 20.0
-    tau_tilt: float = 0.8
     k_nn: int = 4
     max_iterations: int = 40
     translation_epsilon: float = 1e-3
@@ -61,7 +60,6 @@ class Params:
             raise ValueError("need 0 <= r_min < r_max")
         for name in (
             "d_voxel",
-            "gamma",
             "r_submap",
             "translation_epsilon",
             "rotation_epsilon",
@@ -70,8 +68,6 @@ class Params:
         ):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.tau_tilt <= 1.0:
-            raise ValueError("tau_tilt must lie in (0, 1]")
-        for name in ("theta_tilt", "beta"):
+        for name in ("theta_tilt", "d_max", "beta"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")

@@ -175,7 +175,7 @@ def process_scan(
             # Gate removed everything: fall back to the ungated cloud.
             diag.reason = "gate-rejected-all;"
     diag.filtered_points = len(gated)
-    compact, compact_w = voxel_downsample(gated.xyz, gated.weight, params.d_voxel)
+    compact = voxel_downsample(gated.xyz, params.d_voxel)
     diag.downsampled_points = len(compact)
 
     registered_to = None
@@ -186,11 +186,7 @@ def process_scan(
     else:
         try:
             result = icp_point_to_point(
-                tilt_lift(compact, q_now),
-                compact_w,
-                match[0].nn_index(),
-                prior,
-                params,
+                tilt_lift(compact, q_now), match[0].nn_index(), prior, params
             )
         except TiltroError as err:
             diag.reason += f"icp: {err}"

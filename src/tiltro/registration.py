@@ -3,7 +3,8 @@ planar-motion point-to-point ICP.
 
 Correspondences are found in 3D (so elevation structure still
 disambiguates), but the motion update is constrained to SE(2): a closed-form
-weighted planar alignment with yaw from atan2 over the cross-covariance.
+planar alignment of the matched pairs with yaw from atan2 over the
+cross-covariance.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ MIN_MATCHED_FRACTION = 0.2
 @dataclass(frozen=True)
 class IcpResult:
     """delta: correction composed on top of the prior (source -> reference);
-    final_cost: mean weighted squared planar residual (m^2)."""
+    final_cost: mean squared planar residual over the matched pairs (m^2)."""
 
     delta: Pose2
     iterations: int
@@ -32,22 +33,17 @@ class IcpResult:
     matched_fraction: float
 
 
-def voxel_downsample(
-    xyz: np.ndarray, weight: np.ndarray | None, edge: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """One point per occupied voxel (cell floor(p / edge)) at the
-    weight-weighted centroid of its (N, 3) members.
+def voxel_downsample(xyz: np.ndarray, edge: float) -> np.ndarray:
+    """One point per occupied voxel (cell floor(p / edge)) at the centroid
+    of its (N, 3) members.
 
-    Returns the (M, 3) centroids and each voxel's mean weight.  Under unit
-    weights a centroid is exactly the plain mean of its members;
-    ``weight=None`` means unit weights and skips the weight arithmetic,
-    with the same bytes as an array of ones.  Output order follows the
+    Returns the (M, 3) centroids.  Output order follows the
     lexicographically sorted voxel coordinates and is deterministic.
     """
     if edge <= 0.0:
         raise ValueError("voxel edge must be positive")
     if len(xyz) == 0:
-        return np.empty((0, 3)), np.empty(0)
+        return np.empty((0, 3))
     cells = np.floor(xyz / edge).astype(np.int64)
     # A voxel starts wherever the lexicographically sorted cells change;
     # lexsort on three int64 columns cannot overflow, unlike a combined 1-D
@@ -62,23 +58,8 @@ def voxel_downsample(
     inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
     counts = np.diff(first, append=len(order))
-    if weight is None:
-        sums = [
-            np.bincount(inverse, weights=xyz[:, i], minlength=m) for i in range(3)
-        ]
-        return np.column_stack(sums) / counts[:, None], np.ones(m)
-    # Zero-total-weight voxels fall back to unweighted averaging.
-    w_sum = np.bincount(inverse, weights=weight, minlength=m)
-    zero = w_sum <= 0.0
-    eff_w = np.where(zero[inverse], 1.0, weight)
-    eff_sum = np.where(zero, counts.astype(float), w_sum)
-    centroids = np.column_stack(
-        [
-            np.bincount(inverse, weights=eff_w * xyz[:, i], minlength=m)
-            for i in range(3)
-        ]
-    ) / eff_sum[:, None]
-    return centroids, w_sum / counts
+    sums = [np.bincount(inverse, weights=xyz[:, i], minlength=m) for i in range(3)]
+    return np.column_stack(sums) / counts[:, None]
 
 
 class NnIndex:
@@ -162,19 +143,18 @@ def _apply_planar(pose: Pose2, xyz: np.ndarray) -> np.ndarray:
 
 def icp_point_to_point(
     source_xyz: np.ndarray,
-    weight: np.ndarray,
     index: NnIndex,
     prior: Pose2,
     params: Params = Params(),
 ) -> IcpResult:
-    """Align (N, 3) source points of the given weights to the reference
-    points of ``index`` with an SE(2) motion model.
+    """Align (N, 3) source points to the reference points of ``index`` with
+    an SE(2) motion model.
 
     Each source point is matched to its k_nn nearest reference points in 3D
     (pairs beyond max_correspondence_distance are dropped, each pair weighted
-    by the point weight / k_nn), then a closed-form weighted planar transform
-    is solved and composed onto the running estimate until the incremental
-    update falls below the epsilons.
+    1 / k_nn), then a closed-form weighted planar transform is solved and
+    composed onto the running estimate until the incremental update falls
+    below the epsilons.
 
     Returns the correction ``delta`` such that ``delta.compose(prior)`` maps
     source coordinates onto the reference.  Raises NoCorrespondences when
@@ -194,7 +174,7 @@ def icp_point_to_point(
     bound = math.nextafter(max_dist, math.inf)
     # Per-pair source rows and weights, masked down on every iteration.
     all_rows = np.repeat(np.arange(n), kk)
-    all_pair_w = weight[all_rows] / kk
+    all_pair_w = np.full(all_rows.size, 1.0 / kk)
     for iterations in range(1, params.max_iterations + 1):
         moved = _apply_planar(estimate, source_xyz)
         dist, idx = index.query(moved, kk, bound)

@@ -138,8 +138,7 @@ def update_atlas(
     stays within r_submap of that submap's anchor and the tilt signature
     still agrees component-wise; otherwise a new submap is appended with the
     current pose as anchor and the current roll/pitch as signature.  Merges
-    re-run voxel compaction, so the point count stays bounded.  Every point
-    has unit weight (the gate's weights never reach the atlas), so a merged
+    re-run voxel compaction, so the point count stays bounded, and a merged
     centroid is the plain mean of its voxel's stacked points.
     """
     if len(deskewed) == 0:
@@ -152,10 +151,10 @@ def update_atlas(
         and _tilt_compatible(atlas, matched, roll, pitch)
     ):
         stacked = np.vstack([matched.points, world])
-        matched.points, _ = voxel_downsample(stacked, None, atlas.params.d_voxel)
+        matched.points = voxel_downsample(stacked, atlas.params.d_voxel)
         matched._nn_index = None
     else:
         next_id = max((s.submap_id for s in atlas.submaps), default=-1) + 1
-        points, _ = voxel_downsample(world, None, atlas.params.d_voxel)
+        points = voxel_downsample(world, atlas.params.d_voxel)
         atlas.submaps.append(Submap(next_id, pose, (roll, pitch), points))
     return atlas

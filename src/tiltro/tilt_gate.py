@@ -2,9 +2,9 @@
 
 When the sensor tilts relative to the map it is matching against, returns
 far from the tilt axis sweep through large vertical arcs and stop
-corresponding to the same structure.  Each point is therefore scored by the
-vertical displacement the relative tilt induces at its location and kept
-only while a Cauchy weight of that displacement stays above a cutoff.
+corresponding to the same structure.  The gate is the paper's hard
+threshold: a point is kept while the vertical displacement the relative
+tilt induces at its location is at most ``d_max``, and dropped otherwise.
 Points near the tilt axis survive; the far field is culled.
 """
 
@@ -47,31 +47,20 @@ def vertical_displacement(p, tilt: RelativeTilt):
     return np.abs(p @ dz_row)
 
 
-def cauchy_weight(delta_d, gamma: float):
-    """Cauchy influence weight 1 / (1 + (delta_d / gamma)^2)."""
-    delta_d = np.asarray(delta_d, dtype=float)
-    w = 1.0 / (1.0 + (delta_d / gamma) ** 2)
-    return float(w) if w.ndim == 0 else w
-
-
 def tilt_filter(
     cloud: PointCloud, tilt: RelativeTilt, params: Params
 ) -> PointCloud:
-    """Drop points whose tilt-induced vertical displacement weight falls
-    below tau_tilt; surviving points carry their weights.
+    """Keep the points whose tilt-induced vertical displacement is at most
+    d_max, in their order.
 
     Tilts below theta_tilt (deg) return the cloud unchanged.  Raises
     AllPointsRejected when nothing survives.
     """
     if tilt.angle_deg < params.theta_tilt:
         return cloud
-    displacement = vertical_displacement(cloud.xyz, tilt)
-    weight = cauchy_weight(displacement, params.gamma)
-    keep = weight >= params.tau_tilt
+    keep = vertical_displacement(cloud.xyz, tilt) <= params.d_max
     if not np.any(keep):
         raise AllPointsRejected(
             f"tilt of {tilt.angle_deg:.2f} deg rejected all {len(cloud)} points"
         )
-    out = cloud.subset(keep)
-    out.weight = weight[keep]
-    return out
+    return cloud.subset(keep)

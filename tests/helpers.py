@@ -7,6 +7,7 @@ each case is reproducible in isolation.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
@@ -115,13 +116,13 @@ def random_cloud(
     extent: float = 50.0,
     planar: bool = True,
 ) -> PointCloud:
-    """Uniform random points in a centred box, unit weights."""
+    """Uniform random points in a centred box, all at time 0."""
     xyz = rng.uniform(-extent, extent, size=(n, 3))
     if planar:
         xyz[:, 2] = 0.0
     # A discarded draw, so seeded callers keep the clouds they were tuned on.
     rng.uniform(61.0, 255.0, size=n)
-    return PointCloud(xyz, np.zeros(n, dtype=np.int64), np.ones(n))
+    return PointCloud(xyz, np.zeros(n, dtype=np.int64))
 
 
 def brute_force_k_strongest(scan: PolarScan, k, r_min, r_max, tau_raw):
@@ -158,28 +159,52 @@ def scan_points(scan: PolarScan, pairs):
     return xyz, scan.azimuth_timestamps[rows]
 
 
-def unique_voxel_downsample(xyz: np.ndarray, weight: np.ndarray, edge: float):
+def unique_voxel_downsample(xyz: np.ndarray, edge: float):
     """Reference voxel compaction through np.unique(axis=0): the cells come
     out unique and lexicographically sorted, with each point's voxel in the
     inverse.  The aggregates are the same bincounts as voxel_downsample, so
     the two agree byte for byte when their groupings do.  Returns the
-    centroids and the mean weights."""
+    centroids."""
     cells = np.floor(xyz / edge).astype(np.int64)
     unique_cells, inverse = np.unique(cells, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
     m = unique_cells.shape[0]
     counts = np.bincount(inverse, minlength=m)
-    w_sum = np.bincount(inverse, weights=weight, minlength=m)
-    zero = w_sum <= 0.0
-    eff_w = np.where(zero[inverse], 1.0, weight)
-    eff_sum = np.where(zero, counts.astype(float), w_sum)
-    centroids = np.column_stack(
-        [
-            np.bincount(inverse, weights=eff_w * xyz[:, i], minlength=m)
-            for i in range(3)
-        ]
-    ) / eff_sum[:, None]
-    return centroids, w_sum / counts
+    return np.column_stack(
+        [np.bincount(inverse, weights=xyz[:, i], minlength=m) for i in range(3)]
+    ) / counts[:, None]
+
+
+#: Ways to break a written scan file that every reader check before
+#: ``PolarScan``'s passes: name -> (edit of the file's bytes, the message
+#: ``PolarScan`` gives).  The header is "<4sHIId" (magic, version,
+#: azimuths, range bins, range resolution); each record is t (i8), az (f8)
+#: and the intensity row.
+SCAN_FILE_DAMAGE = {
+    "no-azimuths": (
+        lambda data: data[:6] + struct.pack("<I", 0) + data[10:22],
+        "scan must contain at least one azimuth",
+    ),
+    "decreasing-azimuths": (
+        lambda data: _swap_first_azimuths(data),
+        "azimuths must be strictly increasing",
+    ),
+    "nan-range-resolution": (
+        lambda data: data[:14] + struct.pack("<d", math.nan) + data[22:],
+        "range_resolution must be finite",
+    ),
+}
+
+
+def _swap_first_azimuths(data: bytes) -> bytes:
+    (n_r,) = struct.unpack_from("<I", data, 10)
+    out = bytearray(data)
+    first, second = 22 + 8, 22 + (16 + n_r) + 8
+    out[first : first + 8], out[second : second + 8] = (
+        data[second : second + 8],
+        data[first : first + 8],
+    )
+    return bytes(out)
 
 
 def all_pairs_pole_scan(scenario, gt, t_start: int) -> np.ndarray:
@@ -280,7 +305,6 @@ def _reference_apply_planar(pose: Pose2, xyz: np.ndarray) -> np.ndarray:
 
 def reference_icp(
     source_xyz: np.ndarray,
-    weight: np.ndarray,
     index: NnIndex,
     prior: Pose2,
     params: Params = Params(),
@@ -307,7 +331,7 @@ def reference_icp(
             )
         rows = np.repeat(np.arange(n), kk)[valid.ravel()]
         ref_pts = index.points[idx.ravel()[valid.ravel()]]
-        pair_w = weight[rows] / kk
+        pair_w = np.full(rows.size, 1.0 / kk)
         update = _reference_solve_planar(moved[rows, :2], ref_pts[:, :2], pair_w)
         estimate = update.compose(estimate)
         aligned = update.transform_xy(moved[rows, :2])

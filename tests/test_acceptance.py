@@ -36,11 +36,7 @@ from tiltro.sim import (
     synthesize_imu,
     tilt_step_course,
 )
-from tiltro.tilt_gate import (
-    cauchy_weight,
-    tilt_filter,
-    vertical_displacement,
-)
+from tiltro.tilt_gate import tilt_filter, vertical_displacement
 
 from helpers import (
     angle_to,
@@ -129,17 +125,16 @@ def test_criterion_1_extraction_matches_bruteforce_oracle():
     assert time.perf_counter() - t0 < 5.0
 
 
-def test_criterion_2_weight_algebra_and_kept_set():
-    assert cauchy_weight(3.5, 3.5) == 0.5
-    params = Params()  # gamma 3.5, tau_tilt 0.8
-    cutoff = params.gamma * math.sqrt(1.0 / params.tau_tilt - 1.0)
-    assert cutoff == 1.75  # the defaults put the cut at exactly 1.75 m
+def test_criterion_2_hard_threshold_and_kept_set():
+    params = Params()
+    assert params.d_max == 1.75
+    cutoff = params.d_max
 
     rng = np.random.default_rng(2002)
     n = 10_000
     xyz = rng.uniform(-100.0, 100.0, size=(n, 3))
     xyz[:, 2] = 0.0
-    cloud = PointCloud(xyz, np.arange(n, dtype=np.int64), np.ones(n))
+    cloud = PointCloud(xyz, np.arange(n, dtype=np.int64))
     tilt = RelativeTilt(np.array([0.0, 1.0, 0.0]), math.radians(13.0))
     kept = tilt_filter(cloud, tilt, params)
     dd = vertical_displacement(cloud.xyz, tilt)
@@ -169,7 +164,7 @@ def test_criterion_3_icp_recovers_random_perturbations():
         src_xyz[:, :2] = pert.transform_xy(ref.xyz[:, :2])
         t0 = time.perf_counter()
         index = build_nn_index(ref.xyz)
-        res = icp_point_to_point(src_xyz, ref.weight, index, Pose2.identity(), cfg)
+        res = icp_point_to_point(src_xyz, index, Pose2.identity(), cfg)
         elapsed = time.perf_counter() - t0
         assert elapsed < 0.1
         inv = pert.inverse()

@@ -22,6 +22,8 @@ from tiltro.geometry import quat_array_to_rpy
 from tiltro.registration import NnIndex
 from tiltro.sim import PathSegment, Pole, Scenario
 
+from helpers import SCAN_FILE_DAMAGE
+
 
 def _course():
     rng = np.random.default_rng(41)
@@ -168,14 +170,14 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(bad),
                  "--out", str(tmp_path / "ds")]) == 2
     cfg = tmp_path / "cfg.txt"
-    for text in ("bogus_key = 1\n", "gamma = nan\n"):
+    for text in ("bogus_key = 1\n", "d_max = nan\n"):
         cfg.write_text(text, encoding="utf-8")
         assert main(["run", "--dataset", str(tmp_path / "ds"),
                      "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error" in captured.err
-    assert f"{cfg}: gamma must be finite" in captured.err
+    assert f"{cfg}: d_max must be finite" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -219,6 +221,20 @@ def test_run_rejects_a_timestamp_outside_int64(chain, tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert f"line {len(lines)}: '{2**63}' is outside the int64 range" in captured.err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_run_names_a_scan_file_the_scan_checks_reject(chain, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    shutil.copytree(chain / "ds", ds)
+    edit, message = SCAN_FILE_DAMAGE["decreasing-azimuths"]
+    victim = ds / "scans" / "000003.frad"
+    victim.write_bytes(edit(victim.read_bytes()))
+    rc = main(["run", "--dataset", str(ds), "--config", str(chain / "config.txt"),
+               "--out", str(tmp_path / "t.csv")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"{victim}: {message}" in captured.err
     assert not (tmp_path / "t.csv").exists()
 
 

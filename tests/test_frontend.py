@@ -203,7 +203,6 @@ def test_k_strongest_invariants():
     bins = np.rint(ranges / scan.range_resolution - 0.5).astype(int)
     assert np.all(scan.intensity[rows, bins] > tau)
     assert np.all(cloud.xyz[:, 2] == 0.0)
-    assert np.all(cloud.weight == 1.0)
     np.testing.assert_array_equal(scan.azimuth_timestamps[rows], cloud.t)
 
 
@@ -215,8 +214,7 @@ def _track(t_ns, rpys):
 
 
 def _raw_cloud(xyz, t):
-    xyz = np.asarray(xyz, dtype=float)
-    return PointCloud(xyz, t, np.ones(xyz.shape[0]))
+    return PointCloud(np.asarray(xyz, dtype=float), t)
 
 
 def test_deskew_identity_under_constant_track():
@@ -234,7 +232,6 @@ def test_deskew_identity_under_constant_track():
     out = deskew(cloud, track)
     np.testing.assert_allclose(out.xyz, cloud.xyz, atol=1e-9)
     np.testing.assert_array_equal(out.t, cloud.t)
-    np.testing.assert_array_equal(out.weight, cloud.weight)
 
 
 def test_deskew_preserves_ranges():
@@ -286,11 +283,9 @@ def test_deskew_pitch_ramp_displaces_z():
 def test_deskew_stage_and_empty_guards():
     track = _track([0, 250_000_000], [(0, 0, 0), (0, 0, 0)])
     cloud = _raw_cloud([[1.0, 0.0, 0.0]], [0])
-    cloud.weight[:] = 0.5
     done = deskew(cloud, track)
-    # Deskew moves the points and leaves their times and weights alone.
+    # Deskew moves the points and leaves their times alone.
     np.testing.assert_array_equal(done.t, cloud.t)
-    np.testing.assert_array_equal(done.weight, cloud.weight)
     with pytest.raises(ValueError, match="empty"):
         deskew(_raw_cloud(np.empty((0, 3)), []), track)
 
@@ -324,13 +319,13 @@ def test_deskew_matches_unique_reference_in_any_time_order(n, n_times, seed, ord
 
 def test_point_cloud_stage_and_subset():
     # The cloud carries only what the chain reads: deskew reads t, the
-    # tilt gate sets weight, ICP reads xyz and weight.
-    assert [f.name for f in fields(PointCloud)] == ["xyz", "t", "weight"]
-    cloud = PointCloud([1.0, 0, 0, 2.0, 0, 0, 3.0, 0, 0], [0, 1, 2], [1, 1, 1])
+    # tilt gate and ICP read xyz.
+    assert [f.name for f in fields(PointCloud)] == ["xyz", "t"]
+    cloud = PointCloud([1.0, 0, 0, 2.0, 0, 0, 3.0, 0, 0], [0, 1, 2])
     assert cloud.xyz.shape == (3, 3) and cloud.xyz.dtype == float
-    assert cloud.t.dtype == np.int64 and cloud.weight.dtype == float
+    assert cloud.t.dtype == np.int64
     with pytest.raises(ValueError):
-        PointCloud(np.zeros((3, 3)), [0, 1], np.ones(3))
+        PointCloud(np.zeros((3, 3)), [0, 1])
     sub = cloud.subset(np.array([True, False, True]))
     assert len(sub) == 2
     np.testing.assert_array_equal(sub.xyz[:, 0], [1.0, 3.0])

@@ -69,8 +69,8 @@ GOLDEN = {
     ),
     "no-tilt-search": (
         {"tilt_search_enabled": False},
-        "fc55df0d999f946a495778f19ca45f5573b5d9c7a6e766ba1893aecafa060ab8",
-        "3d2e448ce17b8e6c38d8318419a9fe571a83e7f089366062165bb6c6556b6b4b",
+        "288fe0aaee3ba68f2ede21383b605dabd064a7edd6bd1f13df146a1307bc42da",
+        "1c3a9b5e9d8854f1c980762c22773988b9fc17495ba1ec193532382fd1d6d5e1",
     ),
 }
 
@@ -78,8 +78,8 @@ GOLDEN = {
 #: diagnostics SHA-256).  With tilt search on, the gate acts on scans 267
 #: and 333.
 GOLDEN_QUARRY = (
-    "831dfbb8662cedc08648489e51f14dd86a8e206965a3fbe4d1729b8ad90305d5",
-    "d1ab27879332c19d54856ebce2e127af8c268f6986a7edadcab0c1284986fd65",
+    "f39869a7bd20eb284a030e11af172bcaceb0e0250d81ea1199a69d30ca72ae7b",
+    "f7af0acb120ef819804baa49876cb8a5556803336f444d8d81941b3ee54a4f53",
 )
 
 #: Trajectory rows before the first gated scan: (mode or "quarry", number

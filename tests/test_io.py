@@ -44,6 +44,8 @@ from tiltro.io import (
 )
 from tiltro.params import Params
 
+from helpers import SCAN_FILE_DAMAGE
+
 
 def _scan(seed=0, n_az=5, n_bins=8, t0=1_000_000_000):
     rng = np.random.default_rng(seed)
@@ -296,17 +298,17 @@ def test_run_config_defaults_and_round_trip():
     # Pinned text: existing config files must keep their meaning.
     assert format_run_config(Params()) == (
         "k = 10\nr_min = 5.0\nr_max = 100.0\ntau_raw = 60.0\nd_voxel = 1.0\n"
-        "theta_tilt = 3.0\ngamma = 3.5\nr_submap = 20.0\ntau_tilt = 0.8\n"
+        "theta_tilt = 3.0\nd_max = 1.75\nr_submap = 20.0\n"
         "k_nn = 4\nmax_iterations = 40\ntranslation_epsilon = 0.001\n"
         "rotation_epsilon = 0.0001\nmax_correspondence_distance = 5.0\n"
         "beta = 0.1\nstatic_window_s = 10.0\n"
     )
-    params = Params(k=6, gamma=2.0, beta=0.05)
+    params = Params(k=6, d_max=2.0, beta=0.05)
     assert parse_run_config(format_run_config(params)) == params
-    text = "# comment\n\n k = 12 \ntau_tilt = 0.5\n"
+    text = "# comment\n\n k = 12 \nd_max = 0.5\n"
     got = parse_run_config(text)
     assert got.k == 12
-    assert got.tau_tilt == 0.5
+    assert got.d_max == 0.5
     assert got.r_max == 100.0
 
 
@@ -314,10 +316,10 @@ def test_run_config_rejects_bad_input():
     for text, frag in [
         ("bogus = 1", "unknown key"),
         ("k = 5\nk = 6", "duplicate"),
-        ("tau_tilt = true", "cannot parse"),
+        ("d_max = true", "cannot parse"),
         ("k = five", "cannot parse"),
         ("k 5", "key = value"),
-        ("gamma = -1.0", "gamma"),
+        ("d_max = -1.0", "d_max"),
         ("beta = -0.1", "beta"),
         ("static_window_s = 0", "static_window_s"),
         ("d_voxel = nan", "config: d_voxel must be finite"),
@@ -346,9 +348,8 @@ def _valid_params(draw):
         tau_raw=draw(st.floats(allow_nan=False, allow_infinity=False)),
         d_voxel=draw(_POSITIVE),
         theta_tilt=draw(_NON_NEGATIVE),
-        gamma=draw(_POSITIVE),
+        d_max=draw(_NON_NEGATIVE),
         r_submap=draw(_POSITIVE),
-        tau_tilt=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
         k_nn=draw(_COUNT),
         max_iterations=draw(_COUNT),
         translation_epsilon=draw(_POSITIVE),
@@ -542,6 +543,16 @@ def test_dataset_scan_corrupted_after_load_raises_on_access(tmp_path):
     write_polar_scan(_scan(t0=9_000_000_000), victim)
     with pytest.raises(FormatError, match="000002.frad: scan timestamps leave the IMU span"):
         ds.scans[2]
+
+
+@pytest.mark.parametrize("damage", list(SCAN_FILE_DAMAGE))
+def test_load_dataset_names_a_scan_file_the_scan_checks_reject(tmp_path, damage):
+    edit, message = SCAN_FILE_DAMAGE[damage]
+    root, _ = _written(tmp_path)
+    victim = root / "scans" / "000002.frad"
+    victim.write_bytes(edit(victim.read_bytes()))
+    with pytest.raises(FormatError, match=f"000002.frad: {message}"):
+        load_dataset(root)
 
 
 def test_interrupted_dataset_write_is_rejected_by_load(tmp_path):

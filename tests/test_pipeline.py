@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltro.attitude import AttitudeTrack
+from tiltro.attitude import AttitudeTrack, ImuStream, estimate_bias, run_filter
 from tiltro.frontend import MAX_SCAN_SPAN_NS, PolarScan, k_strongest
 from tiltro.geometry import Pose2, UnitQuat
+from tiltro.io import states_to_arrays
 from tiltro.params import Params
 from tiltro.pipeline import (
     MAX_PLAUSIBLE_SPEED,
@@ -294,7 +295,7 @@ def test_implausible_icp_speed_is_a_divergence_miss(straight_sim, perfect_track)
 
 
 def test_gate_rejecting_every_point_prefixes_the_outcome():
-    # tau_tilt = 1 keeps only points with no vertical displacement at all.
+    # d_max = 0 keeps only points with no vertical displacement at all.
     # With tilt search off, the first scan after the 8 deg step still
     # matches the level submap, the gate acts and rejects everything, and
     # the scan registers ungated.
@@ -305,7 +306,7 @@ def test_gate_rejecting_every_point_prefixes_the_outcome():
     track = AttitudeTrack(gt.t, gt.quats)
 
     _, diags = run_odometry(
-        scans, track, Params(tau_tilt=1.0), tilt_search_enabled=False
+        scans, track, Params(d_max=0.0), tilt_search_enabled=False
     )
     diag = diags[-1]
     assert diag.tilt_deg >= 3.0
@@ -432,10 +433,8 @@ def test_params_validation():
         ({"r_min": -1.0}, "r_min"),
         ({"d_voxel": 0.0}, "d_voxel"),
         ({"r_submap": 0.0}, "r_submap"),
-        ({"tau_tilt": 1.5}, "tau_tilt"),
-        ({"tau_tilt": 0.0}, "tau_tilt"),
+        ({"d_max": -1.0}, "d_max"),
         ({"k_nn": 0}, "k_nn"),
-        ({"gamma": 0.0}, "gamma"),
         ({"theta_tilt": -1.0}, "theta_tilt"),
         ({"max_iterations": 0}, "max_iterations"),
         ({"translation_epsilon": 0.0}, "translation_epsilon"),
@@ -447,13 +446,13 @@ def test_params_validation():
         with pytest.raises(ValueError, match=rf"\b{field}\b"):
             Params(**kwargs)
     floats = [f.name for f in fields(Params) if f.type == "float"]
-    assert len(floats) == 13
+    assert len(floats) == 12
     for name in floats:
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 Params(**{name: value})
-    # The cutoff's range is (0, 1]; the tilt bound may be zero.
-    Params(tau_tilt=1.0, theta_tilt=0.0, beta=0.0, r_min=0.0)
+    # The gate's threshold and the tilt bound may be zero.
+    Params(d_max=0.0, theta_tilt=0.0, beta=0.0, r_min=0.0)
 
 
 @pytest.fixture
@@ -521,3 +520,42 @@ def test_process_scan_queries_attitude_twice(
     # The first scan reads its attitude and deskews; every later one
     # predicts, which also gives its attitude, and deskews.
     assert per_scan == [2] * len(scans)
+
+
+def _shifted(scan: PolarScan, offset: int) -> PolarScan:
+    return PolarScan(
+        scan.azimuths, scan.azimuth_timestamps + offset, scan.intensity,
+        scan.range_resolution,
+    )
+
+
+@pytest.fixture(scope="module")
+def short_course(straight_sim):
+    """The first 30 scans of the straight course, its IMU, and the states
+    run_odometry gives for them at the original time origin."""
+    scans = straight_sim.scans[:30]
+    imu = straight_sim.imu
+    states, _ = run_odometry(scans, run_filter(imu, estimate_bias(imu)))
+    return scans, imu, states
+
+
+def _offsets(short_course):
+    scans, imu, _ = short_course
+    lo = min(int(imu.t[0]), min(s.t_start for s in scans))
+    hi = max(int(imu.t[-1]), max(int(s.azimuth_timestamps.max()) for s in scans))
+    return st.integers(-(2**63) - lo, 2**63 - 1 - hi)
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_run_odometry_is_independent_of_the_time_origin(short_course, data):
+    scans, imu, want = short_course
+    offset = data.draw(_offsets(short_course), label="offset")
+    imu_s = ImuStream(imu.t + offset, imu.omega, imu.accel)
+    got, _ = run_odometry(
+        [_shifted(s, offset) for s in scans], run_filter(imu_s, estimate_bias(imu_s))
+    )
+    got_t, *got_pose = states_to_arrays(got)
+    want_t, *want_pose = states_to_arrays(want)
+    assert got_t.tolist() == [t + offset for t in want_t.tolist()]
+    assert [c.tobytes() for c in got_pose] == [c.tobytes() for c in want_pose]

@@ -28,15 +28,12 @@ def _points(xyz):
 
 
 def _compact(xyz, edge=1.0):
-    """Unit-weight voxel compaction."""
-    xyz = _points(xyz)
-    return voxel_downsample(xyz, np.ones(len(xyz)), edge)
+    return voxel_downsample(_points(xyz), edge)
 
 
 def _icp(source, reference, prior, params=Params()):
-    """Unit-weight ICP of source points against reference points."""
-    index = build_nn_index(reference)
-    return icp_point_to_point(source, np.ones(len(source)), index, prior, params)
+    """ICP of source points against reference points."""
+    return icp_point_to_point(source, build_nn_index(reference), prior, params)
 
 
 def _random_planar(rng, n, extent=50.0):
@@ -53,26 +50,25 @@ def _transformed(xyz, pose):
 
 def test_voxel_downsample_examples():
     one = _points([[0.3, 0.7, 0.0]])
-    out, _ = _compact(one)
+    out = _compact(one)
     np.testing.assert_allclose(out, one)
 
-    out, _ = _compact([[0.2, 0.2, 0.0], [0.6, 0.6, 0.0]])
+    out = _compact([[0.2, 0.2, 0.0], [0.6, 0.6, 0.0]])
     assert len(out) == 1
     np.testing.assert_allclose(out[0], [0.4, 0.4, 0.0])
 
-    out, _ = _compact([[0.9, 0.0, 0.0], [1.1, 0.0, 0.0]])
+    out = _compact([[0.9, 0.0, 0.0], [1.1, 0.0, 0.0]])
     assert len(out) == 2
 
 
 def test_voxel_downsample_mass_and_size():
     rng = np.random.default_rng(51)
     xyz = _random_planar(rng, 800)
-    out, weight = _compact(xyz)
+    out = _compact(xyz)
     cells = np.unique(np.floor(xyz).astype(np.int64), axis=0)
     assert len(out) == len(cells) < len(xyz)
     # Each centroid stays in its voxel, and the voxels come out sorted.
     np.testing.assert_array_equal(np.floor(out).astype(np.int64), cells)
-    np.testing.assert_array_equal(weight, np.ones(len(out)))
 
 
 def test_voxel_downsample_idempotent_for_interior_centroids():
@@ -82,41 +78,29 @@ def test_voxel_downsample_idempotent_for_interior_centroids():
     centers = np.unique(rng.integers(-20, 20, size=(100, 3)), axis=0).astype(float) + 0.5
     centers[:, 2] = 0.5
     pts = np.repeat(centers, 3, axis=0) + rng.normal(0.0, 0.05, (centers.shape[0] * 3, 3))
-    once, _ = _compact(pts)
-    twice, _ = _compact(once)
+    once = _compact(pts)
+    twice = _compact(once)
     assert len(twice) == len(once)
     np.testing.assert_allclose(twice, once, atol=1e-12)
 
 
-def test_voxel_downsample_weighted_centroid_and_metadata():
-    xyz = _points([[0.0, 0.0, 0.0], [0.4, 0.0, 0.0]])
-    out, weight = voxel_downsample(xyz, np.array([3.0, 1.0]), 1.0)
-    assert len(out) == 1
-    assert out[0, 0] == pytest.approx(0.1)  # (3*0 + 1*0.4) / 4
-    assert weight[0] == pytest.approx(2.0)
-
-
 def test_voxel_downsample_empty_and_validation():
-    out, weight = _compact(EMPTY)
-    assert out.shape == (0, 3) and weight.shape == (0,)
+    assert _compact(EMPTY).shape == (0, 3)
     with pytest.raises(ValueError):
         _compact(EMPTY, 0.0)
 
 
 @st.composite
 def _voxel_cases(draw):
-    """Clouds with negative coordinates, many points per cell, a few far
-    outliers, and weights that are often zero (whole voxels included)."""
+    """Clouds with negative coordinates, many points per cell, and a few far
+    outliers."""
     n = draw(st.integers(1, 60))
     # Quarter-metre steps put points on cell faces and many in one cell.
     coord = st.integers(-24, 24).map(lambda i: i * 0.25)
     far = st.floats(-1e15, 1e15)
     xyz = draw(arrays(np.float64, (n, 3), elements=coord, fill=far))
-    weight = draw(
-        arrays(np.float64, n, elements=st.floats(0.0, 2.0), fill=st.just(0.0))
-    )
     edge = draw(st.floats(0.1, 3.0))
-    return xyz, weight, edge
+    return xyz, edge
 
 
 @settings(max_examples=300, deadline=None)
@@ -124,20 +108,8 @@ def _voxel_cases(draw):
 def test_build_voxel_index_matches_unique_reference(case):
     got = voxel_downsample(*case)
     expect = unique_voxel_downsample(*case)
-    for name, a, b in zip(("centroids", "weight"), got, expect):
-        assert a.dtype == b.dtype and a.shape == b.shape, name
-        assert a.tobytes() == b.tobytes(), name
-
-
-@settings(max_examples=200, deadline=None)
-@given(_voxel_cases())
-def test_voxel_downsample_without_weights_equals_unit_weights(case):
-    xyz, _, edge = case
-    got = voxel_downsample(xyz, None, edge)
-    expect = voxel_downsample(xyz, np.ones(len(xyz)), edge)
-    for name, a, b in zip(("centroids", "weight"), got, expect):
-        assert a.dtype == b.dtype and a.shape == b.shape, name
-        assert a.tobytes() == b.tobytes(), name
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_nn_index_examples():
@@ -222,7 +194,7 @@ def test_icp_default_config_bias_stays_small():
 
 
 def _cost_under(pose, source, reference, cfg):
-    """Weighted mean squared planar residual of the k-NN pairing at a pose."""
+    """Mean squared planar residual of the k-NN pairing at a pose."""
     index = build_nn_index(reference)
     moved = source.copy()
     moved[:, :2] = pose.transform_xy(moved[:, :2])
@@ -337,8 +309,6 @@ def _icp_cases(draw):
     src[on_bound] = ref[near[on_bound]]
     axis = rng.integers(0, 3, on_bound.sum())
     src[np.flatnonzero(on_bound), axis] += rng.choice([-max_dist, max_dist], axis.size)
-    weight = rng.uniform(0.0, 2.0, n_src)
-    weight[rng.random(n_src) < 0.2] = 0.0
     prior = Pose2(
         draw(st.sampled_from([0.0, 0.3])), 0.0, draw(st.sampled_from([0.0, 0.01, -0.2]))
     )
@@ -347,7 +317,7 @@ def _icp_cases(draw):
         max_correspondence_distance=max_dist,
         max_iterations=draw(st.integers(1, 6)),
     )
-    return src, weight, build_nn_index(ref), prior, params
+    return src, build_nn_index(ref), prior, params
 
 
 def _outcome(icp, case):

@@ -1,19 +1,19 @@
-"""Tests for the Cauchy tilt gate and its closed-form keep threshold."""
+"""Tests for the tilt gate: a hard threshold on tilt-induced vertical
+displacement."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from tiltro.errors import AllPointsRejected
+from tiltro.errors import AllPointsRejected, ConfigError
 from tiltro.frontend import PointCloud
 from tiltro.geometry import RelativeTilt
+from tiltro.io import parse_run_config
 from tiltro.params import Params
-from tiltro.tilt_gate import (
-    cauchy_weight,
-    tilt_filter,
-    vertical_displacement,
-)
+from tiltro.tilt_gate import tilt_filter, vertical_displacement
 
 
 def _tilt(deg, axis=(1.0, 0.0, 0.0)):
@@ -23,32 +23,18 @@ def _tilt(deg, axis=(1.0, 0.0, 0.0)):
 def _cloud(xyz):
     xyz = np.asarray(xyz, dtype=float)
     n = xyz.shape[0]
-    return PointCloud(xyz, np.arange(n, dtype=np.int64), np.ones(n))
+    return PointCloud(xyz, np.arange(n, dtype=np.int64))
 
 
-def test_cauchy_weight_examples():
-    assert cauchy_weight(0.0, 3.5) == 1.0
-    assert cauchy_weight(3.5, 3.5) == 0.5
-    for gamma in (0.1, 1.0, 3.5, 50.0):
-        assert cauchy_weight(gamma, gamma) == 0.5
-
-
-def test_cauchy_weight_strictly_decreasing():
-    d = np.linspace(0.0, 40.0, 200)
-    w = cauchy_weight(d, 3.5)
-    assert np.all(np.diff(w) < 0.0)
-    assert np.all((w > 0.0) & (w <= 1.0))
-
-
-def test_cauchy_weight_scale_covariant():
-    rng = np.random.default_rng(41)
-    for _ in range(100):
-        d = rng.uniform(0.0, 30.0)
-        gamma = rng.uniform(0.1, 10.0)
-        c = rng.uniform(0.1, 10.0)
-        assert cauchy_weight(c * d, c * gamma) == pytest.approx(
-            cauchy_weight(d, gamma), abs=1e-12
-        )
+def test_tilt_filter_keeps_d_max_and_drops_the_next_float():
+    tilt = _tilt(13.0)
+    cloud = _cloud([[0.0, 1.0, 0.0], [0.0, 10.0, 0.0]])
+    d = float(vertical_displacement(cloud.xyz[1], tilt))
+    assert tilt_filter(cloud, tilt, Params(d_max=d)).t.tolist() == [0, 1]
+    # One float lower, the same point lies at nextafter(d_max, inf).
+    d_max = math.nextafter(d, -math.inf)
+    assert math.nextafter(d_max, math.inf) == d
+    assert tilt_filter(cloud, tilt, Params(d_max=d_max)).t.tolist() == [0]
 
 
 def test_vertical_displacement_zero_cases():
@@ -85,12 +71,10 @@ def test_vertical_displacement_planar_closed_form():
 
 
 def test_tilt_filter_keep_set_matches_closed_form():
-    # gamma = 3.5, tau = 0.8 inverts to a keep radius of exactly 1.75 m of
-    # vertical displacement.
+    # The defaults keep exactly the points displaced by at most 1.75 m.
     rng = np.random.default_rng(43)
     params = Params()
-    cutoff = params.gamma * math.sqrt(1.0 / params.tau_tilt - 1.0)
-    assert cutoff == pytest.approx(1.75)
+    assert params.d_max == 1.75
     for trial in range(5):
         phi = rng.uniform(0.0, 2.0 * math.pi)
         axis = np.array([math.cos(phi), math.sin(phi), 0.0])
@@ -100,16 +84,45 @@ def test_tilt_filter_keep_set_matches_closed_form():
         cloud = _cloud(pts)
         out = tilt_filter(cloud, tilt, params)
         expect = set(
-            np.nonzero(vertical_displacement(pts, tilt) <= cutoff)[0].tolist()
+            np.nonzero(vertical_displacement(pts, tilt) <= 1.75)[0].tolist()
         )
         assert set(out.t.tolist()) == expect
-        # Order preserved and weights carried through.
+        # Order preserved.
         assert np.all(np.diff(out.t) > 0)
-        np.testing.assert_allclose(
-            out.weight,
-            cauchy_weight(vertical_displacement(out.xyz, tilt), params.gamma),
-            atol=1e-12,
-        )
+
+
+@st.composite
+def _gate_cases(draw):
+    """A seeded cloud, flat or with some height, a tilt at or above
+    theta_tilt about a random horizontal axis, and d_max from 0 to past the
+    far field."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-60.0, 60.0, size=(draw(st.integers(1, 200)), 3))
+    pts[:, 2] *= draw(st.sampled_from([0.0, 0.1]))
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    axis = np.array([math.cos(phi), math.sin(phi), 0.0])
+    params = Params(
+        theta_tilt=draw(st.floats(0.0, 10.0)),
+        d_max=draw(st.sampled_from([0.0, 0.5, 1.75, 10.0, 200.0])),
+    )
+    angle = math.radians(params.theta_tilt + draw(st.floats(0.0, 30.0)))
+    return _cloud(pts), RelativeTilt(axis, angle), params
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gate_cases())
+def test_tilt_filter_keeps_exactly_the_points_within_d_max(case):
+    cloud, tilt, params = case
+    # Degrees to radians and back may land a hair under theta_tilt.
+    assume(tilt.angle_deg >= params.theta_tilt)
+    keep = np.flatnonzero(vertical_displacement(cloud.xyz, tilt) <= params.d_max)
+    if keep.size == 0:
+        with pytest.raises(AllPointsRejected):
+            tilt_filter(cloud, tilt, params)
+        return
+    out = tilt_filter(cloud, tilt, params)
+    np.testing.assert_array_equal(out.t, keep)
+    np.testing.assert_array_equal(out.xyz, cloud.xyz[keep])
 
 
 def test_tilt_filter_worked_example():
@@ -127,7 +140,6 @@ def test_tilt_filter_passthrough_below_activation():
     assert out is cloud
     assert len(out) == len(cloud)
     np.testing.assert_array_equal(out.xyz, cloud.xyz)
-    np.testing.assert_array_equal(out.weight, np.ones(len(cloud)))
 
 
 def test_tilt_filter_idempotent():
@@ -140,17 +152,15 @@ def test_tilt_filter_idempotent():
     twice = tilt_filter(once, tilt, params)
     assert len(twice) == len(once)
     np.testing.assert_array_equal(twice.xyz, once.xyz)
-    np.testing.assert_allclose(twice.weight, once.weight, atol=1e-12)
 
 
 def test_tilt_filter_axis_points_always_kept():
     axis = np.array([0.8, -0.6, 0.0])
     pts = np.outer(np.array([1.0, 5.0, 25.0, -60.0]), axis)
     out = tilt_filter(
-        _cloud(pts), RelativeTilt(axis, math.radians(28.0)), Params(tau_tilt=1.0)
+        _cloud(pts), RelativeTilt(axis, math.radians(28.0)), Params(d_max=1e-9)
     )
     assert len(out) == 4
-    np.testing.assert_allclose(out.weight, np.ones(4), atol=1e-12)
 
 
 def test_tilt_filter_rejects_everything_far_from_axis():
@@ -160,14 +170,16 @@ def test_tilt_filter_rejects_everything_far_from_axis():
         tilt_filter(_cloud(pts), _tilt(20.0), Params())
 
 
-
 def test_params_validation():
-    with pytest.raises(ValueError):
-        Params(gamma=0.0)
-    with pytest.raises(ValueError):
-        Params(tau_tilt=0.0)
-    with pytest.raises(ValueError):
-        Params(tau_tilt=1.5)
+    for bad in (-1.0, -1e-300, math.nan, math.inf):
+        with pytest.raises(ValueError, match="d_max"):
+            Params(d_max=bad)
     with pytest.raises(ValueError):
         Params(theta_tilt=-1.0)
-    Params(tau_tilt=1.0)  # boundary allowed
+    Params(d_max=0.0)  # boundary allowed
+
+
+@pytest.mark.parametrize("key", ["gamma", "tau_tilt"])
+def test_cauchy_keys_are_unknown_in_a_config(key):
+    with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
+        parse_run_config(f"d_max = 1.75\n{key} = 0.8\n")
