@@ -175,28 +175,10 @@ def unique_voxel_downsample(xyz: np.ndarray, edge: float):
     ) / counts[:, None]
 
 
-#: Ways to break a written scan file that every reader check before
-#: ``PolarScan``'s passes: name -> (edit of the file's bytes, the message
-#: ``PolarScan`` gives).  The header is "<4sHIId" (magic, version,
-#: azimuths, range bins, range resolution); each record is t (i8), az (f8)
-#: and the intensity row.
-SCAN_FILE_DAMAGE = {
-    "no-azimuths": (
-        lambda data: data[:6] + struct.pack("<I", 0) + data[10:22],
-        "scan must contain at least one azimuth",
-    ),
-    "decreasing-azimuths": (
-        lambda data: _swap_first_azimuths(data),
-        "azimuths must be strictly increasing",
-    ),
-    "nan-range-resolution": (
-        lambda data: data[:14] + struct.pack("<d", math.nan) + data[22:],
-        "range_resolution must be finite",
-    ),
-}
-
-
 def _swap_first_azimuths(data: bytes) -> bytes:
+    """Swap the azimuths of a FRAD file's first two records.  The header is
+    "<4sHIId" (magic, version, azimuths, range bins, range resolution; 22
+    bytes); each record is t (i8), az (f8) and the intensity row."""
     (n_r,) = struct.unpack_from("<I", data, 10)
     out = bytearray(data)
     first, second = 22 + 8, 22 + (16 + n_r) + 8
@@ -205,6 +187,25 @@ def _swap_first_azimuths(data: bytes) -> bytes:
         data[first : first + 8],
     )
     return bytes(out)
+
+
+#: Ways to break a written scan file that every reader check before
+#: ``PolarScan``'s passes: name -> (edit of the file's bytes, the message
+#: ``PolarScan`` gives).  Header offsets as in ``_swap_first_azimuths``.
+SCAN_FILE_DAMAGE = {
+    "no-azimuths": (
+        lambda data: data[:6] + struct.pack("<I", 0) + data[10:22],
+        "scan must contain at least one azimuth",
+    ),
+    "decreasing-azimuths": (
+        _swap_first_azimuths,
+        "azimuths must be strictly increasing",
+    ),
+    "nan-range-resolution": (
+        lambda data: data[:14] + struct.pack("<d", math.nan) + data[22:],
+        "range_resolution must be finite",
+    ),
+}
 
 
 def all_pairs_pole_scan(scenario, gt, t_start: int) -> np.ndarray:
