@@ -22,6 +22,7 @@ from .geometry import (
     quat_array_normalize,
     slerp_array,
 )
+from .params import Params
 
 GRAVITY = 9.81
 
@@ -93,7 +94,9 @@ class ImuBias:
         return ImuBias(np.zeros(3), np.zeros(3))
 
 
-def estimate_bias(samples: ImuStream, window_s: float = 10.0) -> ImuBias:
+def estimate_bias(
+    samples: ImuStream, window_s: float = Params.static_window_s
+) -> ImuBias:
     """Estimate constant sensor biases from an initial static window.
 
     The gyro bias is the mean rate over the window.  The accel bias is the
@@ -268,7 +271,7 @@ class AttitudeTrack:
 def run_filter(
     samples: ImuStream,
     bias: ImuBias | None = None,
-    beta: float = 0.1,
+    beta: float = Params.beta,
     q0: UnitQuat | None = None,
 ) -> AttitudeTrack:
     """Run the attitude filter over a full debiased IMU stream.

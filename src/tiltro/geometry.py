@@ -238,7 +238,8 @@ class Pose2:
 
 def quat_array_normalize(quats: np.ndarray) -> np.ndarray:
     quats = np.asarray(quats, dtype=float)
-    return quats / np.linalg.norm(quats, axis=-1, keepdims=True)
+    # np.linalg.norm's own arithmetic for real input, without its wrapper.
+    return quats / np.sqrt(np.add.reduce(quats * quats, axis=-1, keepdims=True))
 
 
 def quat_array_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -59,7 +59,10 @@ def write_polar_scan(scan: PolarScan, path) -> None:
     header = _SCAN_HEADER.pack(
         _SCAN_MAGIC, _SCAN_VERSION, n_a, n_r, scan.range_resolution
     )
-    Path(path).write_bytes(header + rec.tobytes())
+    # The header and then the record buffer, with no joined copy.
+    with Path(path).open("wb") as fh:
+        fh.write(header)
+        fh.write(rec)
 
 
 def read_polar_scan(path) -> PolarScan:

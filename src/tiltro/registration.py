@@ -73,7 +73,7 @@ class NnIndex:
         from scipy.spatial import cKDTree
 
         self.points = points
-        self._tree = cKDTree(points)
+        self._tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -105,13 +105,13 @@ def build_nn_index(points: np.ndarray) -> NnIndex:
     return NnIndex(points)
 
 
-def _solve_planar(src: np.ndarray, ref: np.ndarray, w: np.ndarray) -> Pose2:
-    """Weighted closed-form SE(2) alignment of matched planar pairs."""
-    w_total = float(w.sum())
+def _solve_planar(pairs: np.ndarray, w: np.ndarray, w_total: float) -> Pose2:
+    """Weighted closed-form SE(2) alignment of matched planar pairs: the
+    (M, 4) rows (source x, y, reference x, y), whose weights sum to
+    ``w_total``."""
     if w_total <= 0.0:
         return Pose2(0.0, 0.0, 0.0)
     # Both centroids from one row-by-row axis-0 sum over the (M, 4) pairs.
-    pairs = np.hstack([src, ref])
     centroids = (w[:, None] * pairs).sum(axis=0) / w_total
     centered = pairs - centroids
     # Rows (w * ds_i) * dr_j for (i, j) = xx, xy, yx, yy.  In C order each
@@ -175,6 +175,7 @@ def icp_point_to_point(
     # Per-pair source rows and weights, masked down on every iteration.
     all_rows = np.repeat(np.arange(n), kk)
     all_pair_w = np.full(all_rows.size, 1.0 / kk)
+    ref_xy = index.points[:, :2]
     for iterations in range(1, params.max_iterations + 1):
         moved = _apply_planar(estimate, source_xyz)
         dist, idx = index.query(moved, kk, bound)
@@ -188,11 +189,12 @@ def icp_point_to_point(
                 )
         # Misses hold index len(index); the mask drops them before the gather.
         flat = valid.ravel()
-        rows = all_rows[flat]
-        src_xy = moved[rows, :2]
-        ref_xy = index.points[idx.ravel()[flat], :2]
+        pairs = np.empty((np.count_nonzero(flat), 4))
+        pairs[:, :2] = moved[all_rows[flat], :2]
+        pairs[:, 2:] = ref_xy[idx.ravel()[flat]]
         pair_w = all_pair_w[flat]
-        update = _solve_planar(src_xy, ref_xy, pair_w)
+        w_total = float(pair_w.sum())
+        update = _solve_planar(pairs, pair_w, w_total)
         estimate = update.compose(estimate)
         if (
             math.hypot(update.x, update.y) < params.translation_epsilon
@@ -201,8 +203,8 @@ def icp_point_to_point(
             break
     # Statistics of the last iteration's pairs, as the update left them.
     matched_fraction = float(np.any(valid, axis=1).mean())
-    residual_sq = np.sum((update.transform_xy(src_xy) - ref_xy) ** 2, axis=1)
-    w_total = float(pair_w.sum())
+    residual = update.transform_xy(pairs[:, :2]) - pairs[:, 2:]
+    residual_sq = np.sum(residual**2, axis=1)
     final_cost = float((pair_w * residual_sq).sum() / w_total) if w_total > 0 else 0.0
     delta = estimate.compose(prior.inverse())
     return IcpResult(delta, iterations, final_cost, matched_fraction)

@@ -46,6 +46,8 @@ from .geometry import (
 
 _MS_NS = 1_000_000
 _GAUSS_WINDOW = np.arange(-4, 6)  # bump support relative to floor(center)
+#: Noise-floor cells a render draws per block of whole rows (at least one).
+_NOISE_BLOCK_CELLS = 50_000
 
 
 def _check_finite(name: str, value) -> None:
@@ -425,19 +427,20 @@ def _deposit(bumps: list, az_idx: np.ndarray, centers: np.ndarray,
     bumps.append((cells[ok], values[ok]))
 
 
-def _add_bumps(grid: np.ndarray, bumps: list) -> None:
-    """Add the deposited values to the C-ordered grid.
+def _bump_sums(bumps: list) -> tuple[np.ndarray, np.ndarray]:
+    """The flat cells the deposited bumps touch, ascending, and the sum of
+    each one's values.
 
-    Each touched cell gets its values summed from 0.0 in deposit order, the
-    order ``np.add.at`` on a zero grid adds them in, and the sum is added
-    to the cell once, so no dense signal grid is needed.
+    Each touched cell's values are summed from 0.0 in deposit order, the
+    order ``np.add.at`` on a zero grid adds them in, so adding the sum to
+    the cell once gives the bytes of adding a dense signal grid.
     """
     if not bumps:
-        return
+        return np.empty(0, dtype=np.int64), np.empty(0)
     cells = np.concatenate([c for c, _ in bumps])
     values = np.concatenate([v for _, v in bumps])
     touched, slot = np.unique(cells, return_inverse=True)
-    grid.reshape(-1)[touched] += np.bincount(slot, weights=values)
+    return touched, np.bincount(slot, weights=values)
 
 
 def _pole_candidates(pos: np.ndarray, ray_bearing: np.ndarray,
@@ -475,7 +478,9 @@ def render_scan(scenario: Scenario, gt: GroundTruth, t_start: int) -> PolarScan:
     it in bearing (within half an azimuth step) and the beam's elevation fan
     (+- elevation_half_width_deg) overlaps the target's vertical extent.
     Bump amplitude is reflectivity * (reference_range / range), clamped to
-    255.  The seeded noise floor is added last and the grid quantized.
+    255.  The seeded noise floor is drawn last, in blocks of rows: each
+    block gets its cells' bump sums added, is rounded and clipped, and goes
+    straight into the uint8 grid, so no full float grid is ever held.
     """
     radar = scenario.radar
     n_a = radar.azimuth_count
@@ -561,13 +566,21 @@ def render_scan(scenario: Scenario, gt: GroundTruth, t_start: int) -> PolarScan:
         centers = slant[rows] / radar.range_resolution - 0.5 + bin_jitter[rows]
         _deposit(bumps, rows, centers, amps, n_r)
 
+    # The scan's stream yields the same draws in consecutive blocks as in
+    # one call, so the bytes do not depend on the block size.
+    touched, sums = _bump_sums(bumps)
     rng = _stream(scenario.seed, _NOISE_STREAM_BASE + scan_index)
-    grid = rng.normal(radar.noise_floor_mean, max(radar.noise_floor_sigma, 0.0),
-                      (n_a, n_r))
-    _add_bumps(grid, bumps)
-    np.rint(grid, out=grid)
-    np.clip(grid, 0, 255, out=grid)
-    return PolarScan(azimuths, t_az, grid.astype(np.uint8), radar.range_resolution)
+    sigma = max(radar.noise_floor_sigma, 0.0)
+    intensity = np.empty((n_a, n_r), dtype=np.uint8)
+    block_rows = max(1, _NOISE_BLOCK_CELLS // n_r)
+    for a0 in range(0, n_a, block_rows):
+        a1 = min(a0 + block_rows, n_a)
+        block = rng.normal(radar.noise_floor_mean, sigma, (a1 - a0, n_r))
+        lo, hi = np.searchsorted(touched, (a0 * n_r, a1 * n_r))
+        block.reshape(-1)[touched[lo:hi] - a0 * n_r] += sums[lo:hi]
+        np.rint(block, out=block)
+        np.clip(block, 0, 255, out=intensity[a0:a1], casting="unsafe")
+    return PolarScan(azimuths, t_az, intensity, radar.range_resolution)
 
 
 def synthesize_imu(scenario: Scenario, gt: GroundTruth) -> ImuStream:
@@ -631,8 +644,8 @@ class SimResult:
 
     ``scans`` is a list, or a one-pass :class:`ScanStream` when the run was
     streamed.  ``gt_t/gt_pos/gt_quats`` are the dense truth resampled at the
-    IMU timestamps (the table that gets persisted); ``truth`` is the full
-    1 kHz history for in-process consumers.
+    IMU timestamps (the table that gets persisted).  The 1 kHz history is
+    not kept; ``generate_ground_truth(scenario)`` regenerates it.
     """
 
     scans: list[PolarScan] | ScanStream
@@ -640,7 +653,6 @@ class SimResult:
     gt_t: np.ndarray
     gt_pos: np.ndarray
     gt_quats: np.ndarray
-    truth: GroundTruth
 
 
 def _usable_cpus() -> int:
@@ -732,7 +744,7 @@ def simulate(
                 for s in rendered
             ]
     gt_pos, gt_quats = gt.sample(imu.t)
-    return SimResult(scans, imu, imu.t, gt_pos, gt_quats, gt)
+    return SimResult(scans, imu, imu.t, gt_pos, gt_quats)
 
 
 # ---------------------------------------------------------------------------

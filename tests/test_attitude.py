@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from tiltro import (
 )
 from tiltro.attitude import EXTRAPOLATION_LIMIT_NS, warm_start_attitude
 from tiltro.geometry import quat_array_to_rpy, rpy_to_quat_array
+from tiltro.params import Params
 
 from helpers import angle_to, approx_eq, as_array, from_axis_angle, rotate, slerp
 
@@ -325,3 +327,13 @@ def test_attitude_track_copies_its_timestamps():
     t[1] = 5
     assert track.timestamps.tolist() == [0, 10]
     assert not track.timestamps.flags.writeable
+
+
+def test_attitude_defaults_are_the_params_defaults():
+    # Callers that omit them (the benchmark, accuracy runs) get the values
+    # a default run configuration uses.
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert default(estimate_bias, "window_s") == Params().static_window_s
+    assert default(run_filter, "beta") == Params().beta

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltro.errors import TrajectoryTooShort
 from tiltro.evaluation import (
@@ -215,3 +217,32 @@ def test_metrics_are_independent_of_the_time_origin():
     np.testing.assert_array_equal(rep_epoch.errors_pct, rep.errors_pct)
     np.testing.assert_array_equal(rep_epoch.rot_errors_deg_per_100m,
                                   rep.rot_errors_deg_per_100m)
+
+
+_ORIGIN_GT = _curvy()
+
+
+@settings(max_examples=60, deadline=2000)
+@given(data=st.data())
+def test_rte_rows_shift_exactly_with_the_time_origin(data):
+    # Any offset that keeps both trajectories inside int64 leaves every
+    # segment's length and errors byte-identical and moves start_t by it.
+    gt = _ORIGIN_GT
+    stride = data.draw(st.integers(1, 5), label="stride")
+    lag = data.draw(st.integers(0, 99_999_999), label="lag_ns")
+    wobble = 0.3 * np.sin(gt.x / 12.0)
+    est = Trajectory(gt.t[::stride] + lag, gt.x[::stride] * 1.01,
+                     gt.y[::stride] + wobble[::stride], gt.yaw[::stride])
+    lo = min(int(est.t[0]), int(gt.t[0]))
+    hi = max(int(est.t[-1]), int(gt.t[-1]))
+    offset = data.draw(st.integers(-(2**63) - lo, 2**63 - 1 - hi), label="offset")
+
+    def shifted(tr):
+        return Trajectory(tr.t + np.int64(offset), tr.x, tr.y, tr.yaw)
+
+    rep = relative_translation_error(est, gt, segment_length=20.0)
+    moved = relative_translation_error(shifted(est), shifted(gt),
+                                       segment_length=20.0)
+    assert moved.start_t.tolist() == [t + offset for t in rep.start_t.tolist()]
+    for name in ("seg_lengths", "errors_pct", "rot_errors_deg_per_100m"):
+        assert getattr(moved, name).tobytes() == getattr(rep, name).tobytes()

@@ -91,11 +91,12 @@ def test_cold_start_seeds_first_submap(straight_run):
     assert states[0].pose.x == 0.0 and states[0].pose.y == 0.0
 
 
-def test_steady_state_hits_and_endpoint(straight_sim, straight_run):
+def test_steady_state_hits_and_endpoint(straight_run):
     states, diags = straight_run
     hits = [d.hit for d in diags[1:]]
     assert sum(hits) / len(hits) > 0.9
-    gt_end, _ = straight_sim.truth.sample(np.array([states[-1].t], dtype=np.int64))
+    truth = generate_ground_truth(_straight_scenario())
+    gt_end, _ = truth.sample(np.array([states[-1].t], dtype=np.int64))
     err = math.hypot(states[-1].pose.x - gt_end[0, 0], states[-1].pose.y - gt_end[0, 1])
     assert err < 2.5
     assert all(np.isfinite([s.pose.x, s.pose.y, s.pose.yaw]).all() for s in states)

@@ -24,7 +24,7 @@ from tiltro.sim import (
     generate_ground_truth,
     quarry_course,
     rectangle_loop,
-    _add_bumps,
+    _bump_sums,
     _deposit,
     render_scan,
     simulate,
@@ -408,9 +408,32 @@ def test_bump_sums_match_dense_add_at_bit_for_bit():
         dense_deposit(dense, az, centers, amps)
         _deposit(bumps, az, centers, amps, n_r)
     _deposit(bumps, np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), n_r)
+    touched, sums = _bump_sums(bumps)
+    assert np.all(np.diff(touched) > 0)
     got = noise.copy()
-    _add_bumps(got, bumps)
+    got.reshape(-1)[touched] += sums
     assert got.tobytes() == (noise + dense).tobytes()
+
+
+def test_bump_sums_of_no_deposits_are_empty():
+    touched, sums = _bump_sums([])
+    assert touched.size == 0 and sums.size == 0
+
+
+def test_render_bytes_do_not_depend_on_the_noise_block(monkeypatch):
+    # A quarry scan diving into the ditch, with poles and ground speckle;
+    # 7 rows leave a ragged last block.
+    sc = quarry_course(1)
+    gt = generate_ground_truth(sc, 40.0)
+    t0 = gt.t_start + 139 * sc.radar.period_ns
+    n_a, n_r = sc.radar.azimuth_count, sc.radar.range_bin_count
+    rendered = []
+    for rows in (1, 7, n_a):
+        monkeypatch.setattr(tiltro.sim, "_NOISE_BLOCK_CELLS", rows * n_r)
+        rendered.append(render_scan(sc, gt, t0).intensity)
+    assert np.count_nonzero(rendered[0] > 60) > 0
+    for grid in rendered[1:]:
+        assert grid.tobytes() == rendered[0].tobytes()
 
 
 def test_static_imu_statistics():
