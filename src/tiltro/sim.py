@@ -573,11 +573,15 @@ def render_scan(scenario: Scenario, gt: GroundTruth, t_start: int) -> PolarScan:
     sigma = max(radar.noise_floor_sigma, 0.0)
     intensity = np.empty((n_a, n_r), dtype=np.uint8)
     block_rows = max(1, _NOISE_BLOCK_CELLS // n_r)
-    for a0 in range(0, n_a, block_rows):
-        a1 = min(a0 + block_rows, n_a)
+    # Block edges and each touched cell's offset in its block, found once:
+    # every numpy call in the loop lets the other render threads take the
+    # GIL, and the hand-offs cost more than the calls.
+    bounds = list(range(0, n_a, block_rows)) + [n_a]
+    edges = np.searchsorted(touched, np.multiply(bounds, n_r)).tolist()
+    offsets = touched % (block_rows * n_r)
+    for a0, a1, lo, hi in zip(bounds, bounds[1:], edges, edges[1:]):
         block = rng.normal(radar.noise_floor_mean, sigma, (a1 - a0, n_r))
-        lo, hi = np.searchsorted(touched, (a0 * n_r, a1 * n_r))
-        block.reshape(-1)[touched[lo:hi] - a0 * n_r] += sums[lo:hi]
+        block.reshape(-1)[offsets[lo:hi]] += sums[lo:hi]
         np.rint(block, out=block)
         np.clip(block, 0, 255, out=intensity[a0:a1], casting="unsafe")
     return PolarScan(azimuths, t_az, intensity, radar.range_resolution)
